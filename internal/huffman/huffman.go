@@ -4,8 +4,9 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"positbench/internal/bitio"
@@ -47,84 +48,73 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 	}
 }
 
-type node struct {
-	freq        int
-	sym         int // >= 0 for leaves, -1 for internal
-	left, right int // node indices
-	order       int // tie-break for determinism
-}
-
-type nodeHeap struct {
-	nodes []node
-	idx   []int
-}
-
-func (h *nodeHeap) Len() int { return len(h.idx) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.idx[i]], h.nodes[h.idx[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return a.order < b.order
-}
-func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
+// buildOnce computes unlimited Huffman code lengths with the two-queue
+// method: leaves sorted once by (freq, sym), internal nodes appended in
+// creation order. Merged weights never decrease, so both queues stay
+// sorted under the total order (freq, order), where a leaf's order is its
+// symbol and the k-th internal node's is len(freqs)+k. Popping the smaller
+// head therefore replays exactly the merge sequence of a binary heap keyed
+// on that order, and yields the same lengths.
 func buildOnce(freqs []int) ([]uint8, int) {
 	n := len(freqs)
 	lengths := make([]uint8, n)
-	h := &nodeHeap{}
-	for i, f := range freqs {
+	leaves := make([]int, 0, n) // symbols with nonzero frequency
+	for sym, f := range freqs {
 		if f > 0 {
-			h.nodes = append(h.nodes, node{freq: f, sym: i, left: -1, right: -1, order: i})
-			h.idx = append(h.idx, len(h.nodes)-1)
+			leaves = append(leaves, sym)
 		}
 	}
-	switch len(h.idx) {
+	m := len(leaves)
+	switch m {
 	case 0:
 		return lengths, 0
 	case 1:
-		lengths[h.nodes[h.idx[0]].sym] = 1
+		lengths[leaves[0]] = 1
 		return lengths, 1
 	}
-	heap.Init(h)
-	order := n
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		h.nodes = append(h.nodes, node{
-			freq: h.nodes[a].freq + h.nodes[b].freq,
-			sym:  -1, left: a, right: b, order: order,
-		})
-		order++
-		heap.Push(h, len(h.nodes)-1)
-	}
-	root := h.idx[0]
-	// Iterative depth assignment.
-	type frame struct {
-		node, depth int
-	}
-	stack := []frame{{root, 0}}
-	maxLen := 0
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := h.nodes[fr.node]
-		if nd.sym >= 0 {
-			lengths[nd.sym] = uint8(fr.depth)
-			if fr.depth > maxLen {
-				maxLen = fr.depth
-			}
-			continue
+	slices.SortFunc(leaves, func(a, b int) int {
+		if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
+			return c
 		}
-		stack = append(stack, frame{nd.left, fr.depth + 1}, frame{nd.right, fr.depth + 1})
+		return cmp.Compare(a, b)
+	})
+	// Nodes 0..m-1 are the sorted leaves, m..2m-2 the internal nodes in
+	// creation order; the root is the last one created.
+	weight := make([]int, 2*m-1)
+	parent := make([]int, 2*m-1)
+	for i, sym := range leaves {
+		weight[i] = freqs[sym]
+	}
+	leaf, inner := 0, m // queue heads; the internal queue is [inner, next)
+	for next := m; next < 2*m-1; next++ {
+		var pick [2]int
+		for j := range pick {
+			// On equal weight the leaf goes first: its order (a symbol) is
+			// below every internal node's.
+			if leaf < m && (inner == next || weight[leaf] <= weight[inner]) {
+				pick[j] = leaf
+				leaf++
+			} else {
+				pick[j] = inner
+				inner++
+			}
+		}
+		weight[next] = weight[pick[0]] + weight[pick[1]]
+		parent[pick[0]], parent[pick[1]] = next, next
+	}
+	// A parent is always created after its children, so one reverse sweep
+	// assigns every depth. weight is reused as the depth array.
+	depth := weight
+	depth[2*m-2] = 0
+	maxLen := 0
+	for i := 2*m - 3; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
+		if i < m {
+			lengths[leaves[i]] = uint8(depth[i])
+			if depth[i] > maxLen {
+				maxLen = depth[i]
+			}
+		}
 	}
 	return lengths, maxLen
 }
@@ -442,6 +432,30 @@ func WriteLengths(w *bitio.Writer, lengths []uint8) error {
 		i += run
 	}
 	return nil
+}
+
+// LengthsBits returns the number of bits WriteLengths emits for lengths,
+// without writing them.
+func LengthsBits(lengths []uint8) (int, error) {
+	nbits := 0
+	for i := 0; i < len(lengths); {
+		l := lengths[i]
+		if l > 15 {
+			return 0, fmt.Errorf("huffman: length %d exceeds serialization limit", l)
+		}
+		if l != 0 {
+			nbits += 4
+			i++
+			continue
+		}
+		run := 1
+		for i+run < len(lengths) && lengths[i+run] == 0 && run < 256 {
+			run++
+		}
+		nbits += 4 + 8
+		i += run
+	}
+	return nbits, nil
 }
 
 // ReadLengths parses a table of the given alphabet size.

@@ -260,3 +260,32 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+func TestLengthsBitsMatchesWriteLengths(t *testing.T) {
+	const seed = 5
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 500; i++ {
+		lengths := make([]uint8, 1+rng.Intn(1200))
+		density := rng.Intn(10) // 0 leaves long zero runs, past the 256 cap
+		for j := range lengths {
+			if rng.Intn(10) < density {
+				lengths[j] = uint8(1 + rng.Intn(15))
+			}
+		}
+		w := bitio.NewWriter(64)
+		if err := WriteLengths(w, lengths); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LengthsBits(lengths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != w.BitLen() {
+			t.Fatalf("table %d: LengthsBits = %d, WriteLengths wrote %d bits", i, got, w.BitLen())
+		}
+	}
+	if _, err := LengthsBits([]uint8{16}); err == nil {
+		t.Fatal("want error for a length above 15")
+	}
+}

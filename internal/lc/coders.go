@@ -1,8 +1,10 @@
 package lc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"positbench/internal/bitio"
 	"positbench/internal/compress"
@@ -49,22 +51,48 @@ func encodeBitmapBody(b []byte) []byte {
 	if len(b) < 16 {
 		return append([]byte{0}, b...)
 	}
+	sub, nz := occupancy(b)
+	inner := encodeBitmapBody(sub)
+	if 1+len(inner)+nz < 1+len(b) {
+		out := make([]byte, 0, 1+len(inner)+nz)
+		out = append(out, 1)
+		out = append(out, inner...)
+		for _, v := range b {
+			if v != 0 {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	return append([]byte{0}, b...)
+}
+
+// bitmapBodySize returns len(encodeBitmapBody(b)) without building it: it
+// takes the same recursive decisions, materializing only each level's
+// occupancy bitmap.
+func bitmapBodySize(b []byte) int {
+	if len(b) < 16 {
+		return 1 + len(b)
+	}
+	sub, nz := occupancy(b)
+	if inner := bitmapBodySize(sub); 1+inner+nz < 1+len(b) {
+		return 1 + inner + nz
+	}
+	return 1 + len(b)
+}
+
+// occupancy returns the MSB-first bitmap of b's nonzero bytes and their
+// count.
+func occupancy(b []byte) ([]byte, int) {
 	sub := make([]byte, (len(b)+7)/8)
-	var nz []byte
+	nz := 0
 	for i, v := range b {
 		if v != 0 {
 			sub[i/8] |= 1 << (7 - i%8)
-			nz = append(nz, v)
+			nz++
 		}
 	}
-	inner := encodeBitmapBody(sub)
-	if 1+len(inner)+len(nz) < 1+len(b) {
-		out := make([]byte, 0, 1+len(inner)+len(nz))
-		out = append(out, 1)
-		out = append(out, inner...)
-		return append(out, nz...)
-	}
-	return append([]byte{0}, b...)
+	return sub, nz
 }
 
 // decodeBitmapBody reconstructs n bytes, returning them and the number of
@@ -103,17 +131,6 @@ func decodeBitmapBody(src []byte, n int) ([]byte, int, error) {
 	}
 }
 
-// packFlags packs one bit per word, MSB-first.
-func packFlags(flags []bool) []byte {
-	out := make([]byte, (len(flags)+7)/8)
-	for i, f := range flags {
-		if f {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return out
-}
-
 // --- RLE ---------------------------------------------------------------------
 
 // rle is byte-level run-length coding (the RLE1 scheme shared with the
@@ -123,6 +140,27 @@ type rle struct{}
 func (rle) Name() string { return "RLE" }
 
 func (rle) Forward(src []byte) ([]byte, error) { return mtf.RLE1(src), nil }
+
+// ForwardSize scans runs with mtf.RLE1's rule: a run of 4..259 equal bytes
+// becomes 4 copies plus a count byte, a shorter run stays literal.
+func (rle) ForwardSize(src []byte) (int, error) {
+	size := 0
+	for i := 0; i < len(src); {
+		b := src[i]
+		run := 1
+		for i+run < len(src) && src[i+run] == b && run < 259 {
+			run++
+		}
+		if run >= 4 {
+			size += 5
+		} else {
+			size += run
+		}
+		i += run
+	}
+	return size, nil
+}
+
 func (rle) Inverse(src []byte) ([]byte, error) { return mtf.UnRLE1(src) }
 
 func (rle) InverseLimit(src []byte, maxOut int) ([]byte, error) {
@@ -140,19 +178,40 @@ func (rze) Name() string { return "RZE" }
 
 func (rze) Forward(src []byte) ([]byte, error) {
 	words, tail := splitWords(src)
-	flags := make([]bool, len(words))
-	var nz []uint32
-	for i, w := range words {
-		if w != 0 {
-			flags[i] = true
-			nz = append(nz, w)
-		}
-	}
+	flags, nz := nonzeroWords(src)
 	out := bitio.PutUvarint(nil, uint64(len(words)))
 	out = bitio.PutUvarint(out, uint64(len(tail)))
-	out = append(out, encodeBitmapBody(packFlags(flags))...)
-	out = append(out, joinWords(nz, tail)...)
-	return out, nil
+	out = append(out, encodeBitmapBody(flags)...)
+	out = slices.Grow(out, 4*nz+len(tail))
+	for _, w := range words {
+		if w != 0 {
+			out = binary.LittleEndian.AppendUint32(out, w)
+		}
+	}
+	return append(out, tail...), nil
+}
+
+// ForwardSize is the two uvarint header fields, the encoded occupancy
+// bitmap, four bytes per nonzero word, and the ragged tail.
+func (rze) ForwardSize(src []byte) (int, error) {
+	n, tail := len(src)/4, len(src)%4
+	flags, nz := nonzeroWords(src)
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + bitmapBodySize(flags) + 4*nz + tail, nil
+}
+
+// nonzeroWords returns the MSB-first occupancy bitmap of src's nonzero
+// whole words and their count.
+func nonzeroWords(src []byte) ([]byte, int) {
+	n := len(src) / 4
+	flags := make([]byte, (n+7)/8)
+	nz := 0
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
+			flags[i/8] |= 1 << (7 - i%8)
+			nz++
+		}
+	}
+	return flags, nz
 }
 
 func (rze) Inverse(src []byte) ([]byte, error) { return rze{}.InverseLimit(src, 0) }
@@ -213,14 +272,20 @@ type topCoder struct {
 
 func (t topCoder) Name() string { return t.name }
 
-func (t topCoder) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
+// plan returns the lead-bit count of each whole word of src and the k in
+// 1..31 that minimizes the pre-bitmap-compression size. A word is flagged
+// at k when its lead count is at least k.
+func (t topCoder) plan(src []byte) ([]uint8, int) {
+	n := len(src) / 4
+	leads := make([]uint8, n)
 	// Histogram of lead-bit counts -> flagged(k) via suffix sums.
 	var hist [33]int
 	prev := uint32(0)
-	for _, w := range words {
-		hist[t.leadBits(w, prev)]++
+	for i := range leads {
+		w := binary.LittleEndian.Uint32(src[4*i:])
+		l := t.leadBits(w, prev)
+		leads[i] = uint8(l)
+		hist[l]++
 		prev = w
 	}
 	bestK, bestCost := 1, int64(1)<<62
@@ -236,29 +301,60 @@ func (t topCoder) Forward(src []byte) ([]byte, error) {
 			bestCost, bestK = cost, k
 		}
 	}
-	k := bestK
-	flags := make([]bool, n)
-	prev = 0
-	tops := bitio.NewWriter(n/2 + 8)
+	return leads, bestK
+}
+
+// flagBitmap packs one flag per word, MSB-first, and counts the unflagged
+// words.
+func flagBitmap(leads []uint8, k int) ([]byte, int) {
+	flags := make([]byte, (len(leads)+7)/8)
+	unflagged := 0
+	for i, l := range leads {
+		if int(l) >= k {
+			flags[i/8] |= 1 << (7 - i%8)
+		} else {
+			unflagged++
+		}
+	}
+	return flags, unflagged
+}
+
+func (t topCoder) Forward(src []byte) ([]byte, error) {
+	words, tail := splitWords(src)
+	n := len(words)
+	leads, k := t.plan(src)
+	flags, unflagged := flagBitmap(leads, k)
+	tops := bitio.NewWriter(unflagged*k/8 + 8)
 	bottoms := bitio.NewWriter(n*4 + 8)
 	for i, w := range words {
-		if t.leadBits(w, prev) >= k {
-			flags[i] = true
-		} else {
+		if int(leads[i]) < k {
 			tops.WriteBits(uint64(w>>(32-uint(k))), uint(k))
 		}
 		bottoms.WriteBits(uint64(w)&(1<<(32-uint(k))-1), 32-uint(k))
-		prev = w
 	}
 	out := bitio.PutUvarint(nil, uint64(n))
 	out = bitio.PutUvarint(out, uint64(len(tail)))
 	out = append(out, byte(k))
-	out = append(out, encodeBitmapBody(packFlags(flags))...)
+	out = append(out, encodeBitmapBody(flags)...)
 	tb := tops.Bytes()
 	out = bitio.PutUvarint(out, uint64(len(tb)))
 	out = append(out, tb...)
 	out = append(out, bottoms.Bytes()...)
 	return append(out, tail...), nil
+}
+
+// ForwardSize counts what Forward writes without writing a bit: the
+// header (two uvarints and k), the encoded flag bitmap, the tops length
+// and ceil(unflagged*k/8) tops bytes, ceil(n*(32-k)/8) bottoms bytes, and
+// the ragged tail.
+func (t topCoder) ForwardSize(src []byte) (int, error) {
+	n, tail := len(src)/4, len(src)%4
+	leads, k := t.plan(src)
+	flags, unflagged := flagBitmap(leads, k)
+	tops := (unflagged*k + 7) / 8
+	bottoms := (n*(32-k) + 7) / 8
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 1 + bitmapBodySize(flags) +
+		uvarintLen(uint64(tops)) + tops + bottoms + tail, nil
 }
 
 func (t topCoder) Inverse(src []byte) ([]byte, error) { return t.InverseLimit(src, 0) }
@@ -371,12 +467,18 @@ type huf struct{}
 
 func (huf) Name() string { return "HUF" }
 
-func (huf) Forward(src []byte) ([]byte, error) {
+// byteCode returns src's byte histogram and its code lengths.
+func byteCode(src []byte) ([]int, []uint8, error) {
 	freqs := make([]int, 256)
 	for _, b := range src {
 		freqs[b]++
 	}
 	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
+	return freqs, lengths, err
+}
+
+func (huf) Forward(src []byte) ([]byte, error) {
+	_, lengths, err := byteCode(src)
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +499,26 @@ func (huf) Forward(src []byte) ([]byte, error) {
 		return out, nil
 	}
 	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
+}
+
+// ForwardSize prices the code from the histogram alone: the mode byte and
+// length uvarint, then the serialized length table plus sum(freq*len)
+// bits rounded up to whole bytes, or the stored copy when that is no
+// smaller (Forward's escape rule).
+func (huf) ForwardSize(src []byte) (int, error) {
+	freqs, lengths, err := byteCode(src)
+	if err != nil {
+		return 0, err
+	}
+	nbits, err := huffman.LengthsBits(lengths)
+	if err != nil {
+		return 0, err
+	}
+	for sym, f := range freqs {
+		nbits += f * int(lengths[sym])
+	}
+	body := min((nbits+7)/8, len(src))
+	return 1 + uvarintLen(uint64(len(src))) + body, nil
 }
 
 func (huf) Inverse(src []byte) ([]byte, error) { return huf{}.InverseLimit(src, 0) }

@@ -12,6 +12,7 @@ package lc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Component is one invertible pipeline stage.
@@ -20,6 +21,10 @@ type Component interface {
 	Name() string
 	// Forward transforms src; the result may have any length.
 	Forward(src []byte) ([]byte, error)
+	// ForwardSize returns len(Forward(src)) exactly, without building the
+	// output. The search calls it for the terminal stage, whose bytes
+	// would only be counted.
+	ForwardSize(src []byte) (int, error)
 	// Inverse exactly undoes Forward.
 	Inverse(src []byte) ([]byte, error)
 }
@@ -77,10 +82,14 @@ func joinWords(words []uint32, tail []byte) []byte {
 	return out
 }
 
+// uvarintLen is the encoded length of v as written by bitio.PutUvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // nul is the identity stage; its presence in the library means the 3-stage
 // search space contains every 1- and 2-stage pipeline as well.
 type nul struct{}
 
-func (nul) Name() string                       { return "NUL" }
-func (nul) Forward(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
-func (nul) Inverse(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
+func (nul) Name() string                        { return "NUL" }
+func (nul) Forward(src []byte) ([]byte, error)  { return append([]byte(nil), src...), nil }
+func (nul) Inverse(src []byte) ([]byte, error)  { return append([]byte(nil), src...), nil }
+func (nul) ForwardSize(src []byte) (int, error) { return len(src), nil }

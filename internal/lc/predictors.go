@@ -1,12 +1,15 @@
 package lc
 
 // Predictor components: same-length word transforms that turn value
-// correlation between neighbors into small (or sparse) residuals.
+// correlation between neighbors into small (or sparse) residuals. Their
+// output is always exactly as long as their input.
 
 // diff emits the two's-complement difference sequence ("delta modulation").
 type diff struct{}
 
 func (diff) Name() string { return "DIFF" }
+
+func (diff) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 func (diff) Forward(src []byte) ([]byte, error) {
 	words, tail := splitWords(src)
@@ -34,6 +37,8 @@ func (diff) Inverse(src []byte) ([]byte, error) {
 type diffMS struct{}
 
 func (diffMS) Name() string { return "DIFFMS" }
+
+func (diffMS) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 func zigzag(d uint32) uint32   { return d<<1 ^ uint32(int32(d)>>31) }
 func unzigzag(z uint32) uint32 { return z>>1 ^ -(z & 1) }
@@ -66,6 +71,8 @@ type diffNB struct{}
 
 func (diffNB) Name() string { return "DIFFNB" }
 
+func (diffNB) ForwardSize(src []byte) (int, error) { return len(src), nil }
+
 const nbMask = 0xAAAAAAAA
 
 func toNegabinary(x uint32) uint32   { return (x + nbMask) ^ nbMask }
@@ -96,6 +103,8 @@ func (diffNB) Inverse(src []byte) ([]byte, error) {
 type xorDelta struct{}
 
 func (xorDelta) Name() string { return "XOR" }
+
+func (xorDelta) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 func (xorDelta) Forward(src []byte) ([]byte, error) {
 	words, tail := splitWords(src)

@@ -46,6 +46,13 @@ func (bitT) Forward(src []byte) ([]byte, error) {
 	return append(out, tail...), nil
 }
 
+// ForwardSize is the two uvarint header fields, 32 bit planes of
+// ceil(n/8) bytes each, and the ragged tail.
+func (bitT) ForwardSize(src []byte) (int, error) {
+	n, tail := len(src)/4, len(src)%4
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 32*((n+7)/8) + tail, nil
+}
+
 func (bitT) Inverse(src []byte) ([]byte, error) {
 	n64, k, err := bitio.Uvarint(src)
 	if err != nil {
@@ -92,6 +99,13 @@ func (byteT) Forward(src []byte) ([]byte, error) {
 		}
 	}
 	return append(out, tail...), nil
+}
+
+// ForwardSize is the two uvarint header fields, four byte planes of n
+// bytes each, and the ragged tail.
+func (byteT) ForwardSize(src []byte) (int, error) {
+	n, tail := len(src)/4, len(src)%4
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 4*n + tail, nil
 }
 
 func (byteT) Inverse(src []byte) ([]byte, error) {

@@ -27,7 +27,8 @@ const headerBytes = 1 + PipelineDepth
 // SearchAll evaluates every 3-stage pipeline over the component library on
 // data, in parallel, and returns results sorted best (largest ratio) first.
 // Ties break lexicographically on the pipeline string so output is
-// deterministic.
+// deterministic. Stage 1 and stage 2 outputs are built once and shared;
+// the terminal stage is only sized (Component.ForwardSize), never built.
 func SearchAll(data []byte) ([]Result, error) {
 	lib := Components()
 	nl := len(lib)
@@ -63,7 +64,7 @@ func SearchAll(data []byte) ([]Result, error) {
 					return
 				}
 				for _, s3 := range lib {
-					t3, err := s3.Forward(t2)
+					n3, err := s3.ForwardSize(t2)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {
@@ -72,7 +73,7 @@ func SearchAll(data []byte) ([]Result, error) {
 						mu.Unlock()
 						return
 					}
-					size := len(t3) + headerBytes
+					size := n3 + headerBytes
 					local = append(local, Result{
 						Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
 						Size:  size,
@@ -93,13 +94,33 @@ func SearchAll(data []byte) ([]Result, error) {
 	return results, nil
 }
 
+// sortResults orders rs by size, then by pipeline string. Each string is
+// built once up front rather than in every comparison; it must stay the
+// "a|b|c" string, not the name tuple, because the two orders differ
+// ("DIFF|..." sorts after "DIFF4|...").
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Size != rs[j].Size {
-			return rs[i].Size < rs[j].Size
-		}
-		return pipeKey(rs[i].Names) < pipeKey(rs[j].Names)
-	})
+	keys := make([]string, len(rs))
+	for i, r := range rs {
+		keys[i] = pipeKey(r.Names)
+	}
+	sort.Sort(byPipeline{rs, keys})
+}
+
+type byPipeline struct {
+	rs   []Result
+	keys []string
+}
+
+func (b byPipeline) Len() int { return len(b.rs) }
+func (b byPipeline) Less(i, j int) bool {
+	if b.rs[i].Size != b.rs[j].Size {
+		return b.rs[i].Size < b.rs[j].Size
+	}
+	return b.keys[i] < b.keys[j]
+}
+func (b byPipeline) Swap(i, j int) {
+	b.rs[i], b.rs[j] = b.rs[j], b.rs[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 func pipeKey(names [PipelineDepth]string) string {
@@ -162,40 +183,40 @@ func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
 	if len(inputs) == 0 {
 		return Pipeline{}, nil, fmt.Errorf("lc: no inputs")
 	}
-	// Accumulate log-ratios per pipeline key.
+	// Accumulate log-ratios per pipeline. The name tuple is the map key;
+	// the "a|b|c" string, which breaks ties, is built once per pipeline.
 	type acc struct {
 		sumLog float64
 		count  int
-		names  [PipelineDepth]string
+		key    string
 	}
-	accs := make(map[string]*acc)
+	accs := make(map[[PipelineDepth]string]*acc)
 	for _, rs := range perInput {
 		for _, r := range rs {
-			k := pipeKey(r.Names)
-			a, ok := accs[k]
+			a, ok := accs[r.Names]
 			if !ok {
-				a = &acc{names: r.Names}
-				accs[k] = a
+				a = &acc{key: pipeKey(r.Names)}
+				accs[r.Names] = a
 			}
 			a.sumLog += math.Log(r.Ratio)
 			a.count++
 		}
 	}
+	var names [PipelineDepth]string
 	bestKey := ""
 	bestMean := math.Inf(-1)
-	for k, a := range accs {
+	for nm, a := range accs {
 		if a.count != len(inputs) {
 			continue // pipeline failed on some input; not eligible
 		}
 		mean := a.sumLog / float64(len(inputs))
-		if mean > bestMean || (mean == bestMean && k < bestKey) {
-			bestMean, bestKey = mean, k
+		if mean > bestMean || (mean == bestMean && a.key < bestKey) {
+			bestMean, bestKey, names = mean, a.key, nm
 		}
 	}
 	if bestKey == "" {
 		return Pipeline{}, nil, fmt.Errorf("lc: no pipeline succeeded on all inputs")
 	}
-	names := accs[bestKey].names
 	pipe, err := NewPipeline(names[:]...)
 	if err != nil {
 		return Pipeline{}, nil, err
@@ -204,7 +225,7 @@ func SelectGlobal(perInput [][]Result) (Pipeline, []Result, error) {
 	results := make([]Result, len(inputs))
 	for i, rs := range perInput {
 		for _, r := range rs {
-			if pipeKey(r.Names) == bestKey {
+			if r.Names == names {
 				results[i] = r
 				break
 			}

@@ -17,6 +17,8 @@ type diffStride struct {
 
 func (d diffStride) Name() string { return d.name }
 
+func (diffStride) ForwardSize(src []byte) (int, error) { return len(src), nil }
+
 func (d diffStride) Forward(src []byte) ([]byte, error) {
 	words, tail := splitWords(src)
 	n := len(words)
@@ -48,6 +50,8 @@ type xorStride struct {
 }
 
 func (x xorStride) Name() string { return x.name }
+
+func (xorStride) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 func (x xorStride) Forward(src []byte) ([]byte, error) {
 	words, tail := splitWords(src)

@@ -1,6 +1,6 @@
 # Build, test, and robustness gates for positbench.
 #
-#   make check       vet + build + unit tests (the tier-1 gate)
+#   make check       gofmt + vet + build + unit tests (the tier-1 gate)
 #   make race        unit tests under the race detector
 #   make fuzz-smoke  10 s of fuzzing per fuzz target (seeded with
 #                    known-bad frames; catches decode-path panics fast)
@@ -75,7 +75,7 @@ SCALING_BASE ?= results/BENCH_scaling_base.json
 SCALING_THRESHOLD ?= 10
 SCALING_BYTES ?= 1048576
 
-.PHONY: all check vet build test race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench bench-smoke bench-diff bench-scaling fuzz-smoke ci
+.PHONY: all check fmt vet build test race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench bench-smoke bench-diff bench-scaling fuzz-smoke ci
 
 SOAK_DURATION ?= 5s
 SOAK_QPS ?= 80
@@ -84,7 +84,11 @@ GW_SOAK_QPS ?= 40
 
 all: check
 
-check: vet build test
+check: fmt vet build test
+
+# Fails when any file is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

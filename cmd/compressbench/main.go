@@ -26,14 +26,13 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/container"
 	"positbench/internal/lc"
+	"positbench/internal/par"
 	"positbench/internal/stats"
 	"positbench/internal/sweep"
 )
@@ -102,9 +101,9 @@ func run(args []string, stdout io.Writer) error {
 		codecs = append(codecs, c)
 	}
 
-	// Every file x codec cell (plus one LC search per file) runs in a
-	// bounded worker pool; results land in per-cell slots so the rendered
-	// table is deterministic regardless of completion order.
+	// Every file x codec cell (plus one LC search per file) is one job of a
+	// par.For; results land in per-cell slots so the rendered table is
+	// deterministic regardless of completion order.
 	nFiles, nCols := len(files), len(codecs)
 	if wantLC {
 		nCols++
@@ -125,20 +124,9 @@ func run(args []string, stdout io.Writer) error {
 			return readErrs[i]
 		}
 	}
-	nw := *workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, nw)
-	var wg sync.WaitGroup
-	runCell := func(idx int, fn func() (cell, error)) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cells[idx], errs[idx] = fn()
-		}()
+	var jobs []func()
+	addCell := func(idx int, fn func() (cell, error)) {
+		jobs = append(jobs, func() { cells[idx], errs[idx] = fn() })
 	}
 	for fi := range files {
 		fi := fi
@@ -150,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		for ci, c := range codecs {
 			c := c
-			runCell(fi*nCols+ci, func() (cell, error) {
+			addCell(fi*nCols+ci, func() (cell, error) {
 				var compLen int
 				var err error
 				if *verify {
@@ -168,7 +156,7 @@ func run(args []string, stdout io.Writer) error {
 			})
 		}
 		if wantLC {
-			runCell(fi*nCols+len(codecs), func() (cell, error) {
+			addCell(fi*nCols+len(codecs), func() (cell, error) {
 				rs, err := lc.SearchAll(data[fi])
 				if err != nil {
 					return cell{}, err
@@ -188,7 +176,10 @@ func run(args []string, stdout io.Writer) error {
 			})
 		}
 	}
-	wg.Wait()
+	par.For(len(jobs), *workers, func(i int) error {
+		jobs[i]()
+		return nil
+	})
 	colName := func(ci int) string {
 		if ci < len(codecs) {
 			return codecs[ci].Name()

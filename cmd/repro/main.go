@@ -77,9 +77,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
-	// -p bounds both the study's goroutines and the posit batch converters
-	// they call into (otherwise each converter fans out to GOMAXPROCS on
-	// its own and the effective parallelism multiplies).
+	// -p bounds both the study's loops and the posit batch converters
+	// they call into.
 	posit.SetBatchWorkers(*workers)
 	opts := core.Options{
 		ValuesPerInput: *values,

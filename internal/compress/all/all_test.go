@@ -1,7 +1,6 @@
 package all
 
 import (
-	"positbench/internal/compress"
 	"positbench/internal/compress/codectest"
 	"testing"
 )
@@ -54,22 +53,6 @@ func TestFreshInstances(t *testing.T) {
 	for i := range a {
 		if a[i] == b[i] {
 			t.Errorf("codec %d shared between calls", i)
-		}
-	}
-}
-
-// The light-decoder hint drives the 1-CPU serial fallback, so its per-codec
-// policy is part of the registry contract: byte-copy/table-lookup decoders
-// are light, entropy-heavy ones are not, and the container frame forwards
-// the inner codec's answer.
-func TestLightDecoderPolicy(t *testing.T) {
-	want := map[string]bool{
-		"bzip2": false, "gzip": false, "xz": false,
-		"lz4": true, "zstd": true, "fpc32": true, "fpc-posit": true,
-	}
-	for _, c := range Codecs() {
-		if got := compress.DecodeIsLight(c); got != want[c.Name()] {
-			t.Errorf("framed %s: DecodeIsLight = %v, want %v", c.Name(), got, want[c.Name()])
 		}
 	}
 }

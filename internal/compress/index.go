@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"io"
-	"runtime"
-)
+import "io"
 
 // Random-access support for the chunked stream format. The writers know the
 // exact frame layout as they emit it — offset of every payload, its
@@ -25,37 +22,6 @@ import (
 type IndexSink interface {
 	AddChunk(frameOff int64, comp []byte, rawLen int)
 	WriteTrailer(dst io.Writer) (int64, error)
-}
-
-// RunParallel executes fn(0..n-1) on the work-stealing engine — the same
-// scheduler shape the chunk pipelines run on, visible in the same
-// sched_submitted/sched_steals counters. Range reads use it to decode the
-// chunks of a multi-chunk window concurrently. It falls back to an inline
-// loop when the parallelism cannot pay for its own handoffs (one worker,
-// one item, or a 1-CPU host), mirroring the serial-fallback policy of the
-// stream engines. fn must be safe for concurrent calls; RunParallel returns
-// only after every call has finished.
-func RunParallel(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	s := newWorkStealing(workers, n, 0, func(_ int, _ bool, i int) { fn(i) })
-	for i := 0; i < n; i++ {
-		s.submit(i)
-	}
-	s.close()
 }
 
 // AccountRangeRead records one random-access window resolution against the

@@ -230,14 +230,8 @@ func readLenExt(comp []byte, i, base int) (int, int, error) {
 	}
 }
 
-// DecodeIsLight implements compress.LightDecoder: LZ4 decode is pure byte
-// copying, so on a 1-CPU host the parallel engine's pool overhead dominates
-// and the serial fallback wins.
-func (c *Codec) DecodeIsLight() bool { return true }
-
 var _ compress.Codec = (*Codec)(nil)
 var _ compress.Describer = (*Codec)(nil)
 var _ compress.Limited = (*Codec)(nil)
 var _ compress.AppendCompressor = (*Codec)(nil)
 var _ compress.AppendDecompressor = (*Codec)(nil)
-var _ compress.LightDecoder = (*Codec)(nil)

@@ -675,6 +675,15 @@ func (r *ParallelReader) Read(p []byte) (int, error) {
 			r.slotPool.Put(r.cur)
 			r.cur = nil
 		}
+		// Checked here, not only via the watcher goroutine closing r.stop:
+		// under load the watcher may not have run yet while already-decoded
+		// slots keep arriving, and Read must stop at cancellation like the
+		// serial fallback does.
+		if err := r.ctx.Err(); err != nil {
+			r.err = err
+			r.shutdown()
+			return 0, r.err
+		}
 		slot, ok := <-r.slots
 		if !ok { // only after Close or context cancellation
 			if err := r.ctx.Err(); err != nil {

@@ -39,56 +39,42 @@ func TestParallelReaderSerialFallbackEngages(t *testing.T) {
 	r.Close()
 }
 
-// lightCodec is a passthrough that advertises a light decode path, standing
-// in for the lz4/zstd/fpc class.
-type lightCodec struct{ passthrough }
-
-func (lightCodec) DecodeIsLight() bool { return true }
-
-// On a 1-CPU host, extra workers cannot add CPU for ANY codec: the
-// fallback must engage even when more workers were requested, light and
-// heavy alike. The old policy kept heavy codecs on the pool there, and
-// BENCH_compress.json measured the cost: parallel decode at 0.90-0.98x of
-// serial for bzip2/fpc32/fpc-posit at workers=4. With real CPUs available
-// the hint changes nothing and the scheduler runs. (The per-registry-codec
-// pin lives in TestSerialFallbackPolicyEveryRegistryCodec.)
+// On a 1-CPU host extra workers cannot add CPU for any codec, so the
+// fallback must engage even when more workers were requested; with real
+// CPUs available the scheduler runs. BENCH_compress.json measured the cost
+// of keeping the pool there: parallel decode at 0.90-0.98x of serial for
+// bzip2/fpc32/fpc-posit at workers=4. (The per-registry-codec pin lives in
+// TestSerialFallbackPolicyEveryRegistryCodec.)
 func TestParallelReaderLightCodecFallback(t *testing.T) {
-	stream := writeSerial(t, lightCodec{}, parallelData(8<<10), 1024)
+	stream := writeSerial(t, passthrough{}, parallelData(8<<10), 1024)
 
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	r := NewParallelReader(lightCodec{}, bytes.NewReader(stream), 4)
+	r := NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
 	if r.serial == nil {
-		t.Fatal("light codec with workers=4 under GOMAXPROCS(1) did not engage the serial fallback")
-	}
-	r.Close()
-
-	heavy := writeSerial(t, passthrough{}, parallelData(8<<10), 1024)
-	r = NewParallelReader(passthrough{}, bytes.NewReader(heavy), 4)
-	if r.serial == nil {
-		t.Fatal("heavy codec with workers=4 under GOMAXPROCS(1) kept the scheduler; extra workers cannot add CPU on one core")
+		t.Fatal("workers=4 under GOMAXPROCS(1) kept the scheduler; extra workers cannot add CPU on one core")
 	}
 	r.Close()
 
 	runtime.GOMAXPROCS(2)
-	r = NewParallelReader(lightCodec{}, bytes.NewReader(stream), 4)
+	r = NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
 	if r.serial != nil {
-		t.Fatal("light codec with real CPUs available engaged the fallback; the scheduler should run")
+		t.Fatal("workers=4 with real CPUs available engaged the fallback; the scheduler should run")
 	}
 	r.Close()
 
-	// And the fallback path must still decode correctly for the light
-	// codec, workers>1 notwithstanding.
+	// And the fallback path must still decode correctly, workers>1
+	// notwithstanding.
 	runtime.GOMAXPROCS(1)
-	r = NewParallelReader(lightCodec{}, bytes.NewReader(stream), 4)
+	r = NewParallelReader(passthrough{}, bytes.NewReader(stream), 4)
 	defer r.Close()
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, parallelData(8<<10)) {
-		t.Fatal("light-codec fallback decoded wrong bytes")
+		t.Fatal("fallback decoded wrong bytes")
 	}
 }
 

@@ -278,12 +278,6 @@ func (c *Codec) DecompressLimits(comp []byte, lim compress.DecodeLimits) ([]byte
 	return out, nil
 }
 
-// DecodeIsLight implements compress.LightDecoder: table-driven sequence
-// execution decodes at hundreds of MB/s, so on a 1-CPU host the parallel
-// engine's pool overhead outweighs any read-ahead it could buy.
-func (c *Codec) DecodeIsLight() bool { return true }
-
 var _ compress.Codec = (*Codec)(nil)
 var _ compress.Describer = (*Codec)(nil)
 var _ compress.Limited = (*Codec)(nil)
-var _ compress.LightDecoder = (*Codec)(nil)

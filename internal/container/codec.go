@@ -36,11 +36,6 @@ func (c *Codec) Unwrap() compress.Codec { return c.inner }
 // Name implements compress.Codec; the frame is transparent in result tables.
 func (c *Codec) Name() string { return c.inner.Name() }
 
-// DecodeIsLight implements compress.LightDecoder by forwarding the inner
-// codec's hint: CRC verification adds memory-bandwidth-class work, so the
-// frame never changes a codec's weight class.
-func (c *Codec) DecodeIsLight() bool { return compress.DecodeIsLight(c.inner) }
-
 // Info implements compress.Describer when the inner codec does.
 func (c *Codec) Info() compress.Info {
 	if d, ok := c.inner.(compress.Describer); ok {

@@ -6,15 +6,15 @@ import (
 
 	"positbench/internal/chunkcache"
 	"positbench/internal/compress"
+	"positbench/internal/par"
 )
 
 // Random access over an indexed (v2) chunked stream. ReaderAt maps a raw
 // `[off,len)` window to the minimal chunk set via the trailer index,
 // fetches only those frames, verifies each against its indexed CRC-32C,
-// and decodes them — in parallel through the work-stealing engine when the
-// window spans several chunks, and through an optional content-addressed
-// cache so repeated windows (or identical chunks across objects) decode
-// once.
+// and decodes them — in parallel through par.For when the window spans
+// several chunks, and through an optional content-addressed cache so
+// repeated windows (or identical chunks across objects) decode once.
 
 // ReaderAtOptions tunes a ReaderAt. The zero value is usable: default
 // decode limits, GOMAXPROCS workers, no cache.
@@ -117,8 +117,9 @@ func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	first, last := r.ix.Locate(off, want)
 	outs := make([][]byte, last-first)
 	errs := make([]error, last-first)
-	compress.RunParallel(r.opt.Workers, last-first, func(i int) {
+	par.For(last-first, r.opt.Workers, func(i int) error {
 		outs[i], _, errs[i] = r.chunk(first + i)
+		return errs[i]
 	})
 	var n int
 	for i, out := range outs {

@@ -7,13 +7,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"positbench/internal/compress"
 	"positbench/internal/compress/all"
 	"positbench/internal/ieee"
 	"positbench/internal/lc"
+	"positbench/internal/par"
 	"positbench/internal/posit"
 	"positbench/internal/sdrbench"
 	"positbench/internal/stats"
@@ -43,16 +42,14 @@ type Options struct {
 	// Workers bounds the concurrent input preparations and codec runs
 	// (default GOMAXPROCS; the CLIs' -p flag lands here).
 	Workers int
-	// Progress, if non-nil, receives one line per completed step.
+	// Progress, if non-nil, receives one line per completed step. Run
+	// calls it from its own goroutine, one call at a time.
 	Progress func(format string, args ...interface{})
 }
 
 func (o *Options) fill() {
 	if o.ValuesPerInput == 0 {
 		o.ValuesPerInput = sdrbench.DefaultValues
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Codecs == nil {
 		o.Codecs = all.Codecs()
@@ -112,34 +109,24 @@ func PrepareInputs(nValues, workers int, progress func(string, ...interface{})) 
 	if progress == nil {
 		progress = func(string, ...interface{}) {}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	specs := sdrbench.Inputs()
 	inputs := make([]*Input, len(specs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, spec sdrbench.InputSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			floats := spec.Generate(nValues)
-			words3 := posit.Posit32e3.FromFloat32Slice(nil, floats)
-			in := &Input{
-				Spec:       spec,
-				Floats:     floats,
-				FloatBytes: posit.EncodeFloat32LE(floats),
-				PositBytes: posit.EncodeWordsLE(words3),
-				StatsES3:   posit.Posit32e3.RoundtripStats(floats),
-				StatsES2:   posit.Posit32.RoundtripStats(floats),
-			}
-			in.Histogram.AddSlice(floats)
-			inputs[i] = in
-		}(i, spec)
-	}
-	wg.Wait()
+	par.For(len(specs), workers, func(i int) error {
+		spec := specs[i]
+		floats := spec.Generate(nValues)
+		words3 := posit.Posit32e3.FromFloat32Slice(nil, floats)
+		in := &Input{
+			Spec:       spec,
+			Floats:     floats,
+			FloatBytes: posit.EncodeFloat32LE(floats),
+			PositBytes: posit.EncodeWordsLE(words3),
+			StatsES3:   posit.Posit32e3.RoundtripStats(floats),
+			StatsES2:   posit.Posit32.RoundtripStats(floats),
+		}
+		in.Histogram.AddSlice(floats)
+		inputs[i] = in
+		return nil
+	})
 	progress("prepared %d inputs (%d values each)", len(inputs), nValues)
 	return inputs
 }
@@ -150,64 +137,52 @@ func Run(opts Options) (*Study, error) {
 	st := &Study{Opts: opts}
 	st.Inputs = PrepareInputs(opts.ValuesPerInput, opts.Workers, opts.Progress)
 
-	// General-purpose codecs: every codec x input x encoding cell runs in
-	// its own goroutine slot; results land in preallocated indices.
+	// General-purpose codecs: every codec x input x encoding cell is one
+	// iteration; results land in preallocated indices.
 	type cell struct {
 		codec compress.Codec
 		input *Input
 		enc   Encoding
-		idx   int
 	}
 	var cells []cell
 	for _, c := range opts.Codecs {
 		for _, in := range st.Inputs {
 			for _, enc := range []Encoding{EncIEEE, EncPosit} {
-				cells = append(cells, cell{c, in, enc, len(cells)})
+				cells = append(cells, cell{c, in, enc})
 			}
 		}
 	}
 	st.Measurements = make([]Measurement, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, opts.Workers)
-	var wg sync.WaitGroup
-	for _, cl := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(cl cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			data := cl.input.Bytes(cl.enc)
-			var compLen int
-			var err error
-			if opts.Verify {
-				compLen, err = compress.Roundtrip(cl.codec, data)
-			} else {
-				var comp []byte
-				comp, err = cl.codec.Compress(data)
-				compLen = len(comp)
-			}
-			if err != nil {
-				errs[cl.idx] = err
-				return
-			}
-			st.Measurements[cl.idx] = Measurement{
-				Codec:    cl.codec.Name(),
-				Input:    cl.input.Spec.Name,
-				Encoding: cl.enc,
-				OrigLen:  len(data),
-				CompLen:  compLen,
-				Ratio:    compress.Ratio(len(data), compLen),
-			}
-			opts.Progress("%-6s %-26s %-5s ratio %.3f",
-				cl.codec.Name(), cl.input.Spec.Name, cl.enc,
-				st.Measurements[cl.idx].Ratio)
-		}(cl)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := par.For(len(cells), opts.Workers, func(i int) error {
+		cl := cells[i]
+		data := cl.input.Bytes(cl.enc)
+		var compLen int
+		var err error
+		if opts.Verify {
+			compLen, err = compress.Roundtrip(cl.codec, data)
+		} else {
+			var comp []byte
+			comp, err = cl.codec.Compress(data)
+			compLen = len(comp)
 		}
+		if err != nil {
+			return err
+		}
+		st.Measurements[i] = Measurement{
+			Codec:    cl.codec.Name(),
+			Input:    cl.input.Spec.Name,
+			Encoding: cl.enc,
+			OrigLen:  len(data),
+			CompLen:  compLen,
+			Ratio:    compress.Ratio(len(data), compLen),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range st.Measurements {
+		opts.Progress("%-6s %-26s %-5s ratio %.3f", m.Codec, m.Input, m.Encoding, m.Ratio)
 	}
 
 	if opts.WithLC {

@@ -3,9 +3,9 @@ package lc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
+
+	"positbench/internal/par"
 )
 
 // Result is one pipeline's outcome on one input.
@@ -32,63 +32,36 @@ const headerBytes = 1 + PipelineDepth
 func SearchAll(data []byte) ([]Result, error) {
 	lib := Components()
 	nl := len(lib)
-	results := make([]Result, 0, nl*nl*nl)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, s1 := range lib {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s1 Component) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t1, err := s1.Forward(data)
+	results := make([]Result, nl*nl*nl)
+	err := par.For(nl, 0, func(i int) error {
+		s1 := lib[i]
+		t1, err := s1.Forward(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s1.Name(), err)
+		}
+		block := results[i*nl*nl : (i+1)*nl*nl]
+		for j, s2 := range lib {
+			t2, err := s2.Forward(t1)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", s1.Name(), err)
-				}
-				mu.Unlock()
-				return
+				return fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
 			}
-			local := make([]Result, 0, nl*nl)
-			for _, s2 := range lib {
-				t2, err := s2.Forward(t1)
+			for k, s3 := range lib {
+				n3, err := s3.ForwardSize(t2)
 				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
-					}
-					mu.Unlock()
-					return
+					return fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
 				}
-				for _, s3 := range lib {
-					n3, err := s3.ForwardSize(t2)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
-						}
-						mu.Unlock()
-						return
-					}
-					size := n3 + headerBytes
-					local = append(local, Result{
-						Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
-						Size:  size,
-						Ratio: float64(len(data)) / float64(size),
-					})
+				size := n3 + headerBytes
+				block[j*nl+k] = Result{
+					Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
+					Size:  size,
+					Ratio: float64(len(data)) / float64(size),
 				}
 			}
-			mu.Lock()
-			results = append(results, local...)
-			mu.Unlock()
-		}(s1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortResults(results)
 	return results, nil

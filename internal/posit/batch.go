@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"positbench/internal/par"
 )
 
 // Batch conversion between IEEE-754 binary32 streams and 32-bit posit
@@ -46,7 +48,7 @@ func (c Config) FromFloat32SliceWorkers(dst []uint32, src []float32, n int) []ui
 	if dst == nil {
 		dst = make([]uint32, len(src))
 	}
-	parallelRangeN(len(src), n, func(lo, hi int) {
+	parallelRange(len(src), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = uint32(c.FromFloat32(src[i]))
 		}
@@ -66,12 +68,12 @@ func (c Config) ToFloat32SliceWorkers(dst []float32, src []uint32, n int) []floa
 		dst = make([]float32, len(src))
 	}
 	if c.kernelOK() {
-		parallelRangeN(len(src), n, func(lo, hi int) {
+		parallelRange(len(src), n, func(lo, hi int) {
 			c.decode32Batch(dst[lo:hi], src[lo:hi])
 		})
 		return dst[:len(src)]
 	}
-	parallelRangeN(len(src), n, func(lo, hi int) {
+	parallelRange(len(src), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.ToFloat32(uint64(src[i]))
 		}
@@ -89,50 +91,33 @@ func (c Config) RoundtripStats(src []float32) ConvertStats {
 // RoundtripStatsWorkers is RoundtripStats with a per-call worker count
 // (nWorkers <= 0 selects the package default).
 func (c Config) RoundtripStatsWorkers(src []float32, nWorkers int) ConvertStats {
-	nw := clampWorkers(nWorkers, len(src))
-	partial := make([]ConvertStats, nw)
-	var wg sync.WaitGroup
-	chunk := (len(src) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(src) {
-			hi = len(src)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			st := &partial[w]
-			for i := lo; i < hi; i++ {
-				f := src[i]
-				back := c.ToFloat32(uint64(c.FromFloat32(f)))
-				st.Total++
-				switch {
-				case math.IsNaN(float64(f)):
-					if math.IsNaN(float64(back)) {
-						st.Exact++
-					}
-				case math.Float32bits(f) == math.Float32bits(back):
+	var mu sync.Mutex
+	var total ConvertStats
+	parallelRange(len(src), nWorkers, func(lo, hi int) {
+		var st ConvertStats
+		for i := lo; i < hi; i++ {
+			f := src[i]
+			back := c.ToFloat32(uint64(c.FromFloat32(f)))
+			st.Total++
+			switch {
+			case math.IsNaN(float64(f)):
+				if math.IsNaN(float64(back)) {
 					st.Exact++
-				default:
-					if e := math.Abs(float64(back) - float64(f)); e > st.MaxAbsE {
-						st.MaxAbsE = e
-					}
+				}
+			case math.Float32bits(f) == math.Float32bits(back):
+				st.Exact++
+			default:
+				if e := math.Abs(float64(back) - float64(f)); e > st.MaxAbsE {
+					st.MaxAbsE = e
 				}
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total ConvertStats
-	for _, p := range partial {
-		total.Total += p.Total
-		total.Exact += p.Exact
-		if p.MaxAbsE > total.MaxAbsE {
-			total.MaxAbsE = p.MaxAbsE
 		}
-	}
+		mu.Lock()
+		total.Total += st.Total
+		total.Exact += st.Exact
+		total.MaxAbsE = math.Max(total.MaxAbsE, st.MaxAbsE)
+		mu.Unlock()
+	})
 	return total
 }
 
@@ -208,9 +193,6 @@ func SetBatchWorkers(n int) {
 	batchWorkers.Store(int32(n))
 }
 
-// workers picks a worker count for n items from the package default.
-func workers(n int) int { return clampWorkers(0, n) }
-
 // clampWorkers resolves an explicit per-call worker count (or the package
 // default when nw <= 0) and clamps it to [1, n].
 func clampWorkers(nw, n int) int {
@@ -229,34 +211,16 @@ func clampWorkers(nw, n int) int {
 	return nw
 }
 
-// parallelRange splits [0,n) across GOMAXPROCS goroutines. Each worker
-// receives a contiguous half-open interval; results must be written to
-// per-index slots so output is deterministic.
-func parallelRange(n int, fn func(lo, hi int)) { parallelRangeN(n, 0, fn) }
-
-// parallelRangeN is parallelRange with an explicit worker count (nWorkers
-// <= 0 selects the package default).
-func parallelRangeN(n, nWorkers int, fn func(lo, hi int)) {
+// parallelRange splits [0,n) into one contiguous half-open interval per
+// worker (nWorkers <= 0 selects the package default) and runs them through
+// par.For; results must be written to per-index slots so output is
+// deterministic.
+func parallelRange(n, nWorkers int, fn func(lo, hi int)) {
 	nw := clampWorkers(nWorkers, n)
-	if nw == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
 	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For(nw, nw, func(w int) error {
+		lo := min(w*chunk, n)
+		fn(lo, min(lo+chunk, n))
+		return nil
+	})
 }

@@ -15,7 +15,7 @@ func (c Config) FromFloat64Slice(dst []uint64, src []float64) []uint64 {
 	if dst == nil {
 		dst = make([]uint64, len(src))
 	}
-	parallelRange(len(src), func(lo, hi int) {
+	parallelRange(len(src), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.FromFloat64(src[i])
 		}
@@ -28,7 +28,7 @@ func (c Config) ToFloat64Slice(dst []float64, src []uint64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(src))
 	}
-	parallelRange(len(src), func(lo, hi int) {
+	parallelRange(len(src), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = c.ToFloat64(src[i])
 		}

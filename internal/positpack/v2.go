@@ -58,14 +58,10 @@ func (v *V2) DecompressAppendLimits(dst, comp []byte, lim compress.DecodeLimits)
 	return v.inner.DecompressAppendLimits(dst, comp, lim)
 }
 
-// DecodeIsLight implements compress.LightDecoder.
-func (v *V2) DecodeIsLight() bool { return v.inner.DecodeIsLight() }
-
 var (
 	_ compress.Codec              = (*V2)(nil)
 	_ compress.AppendCompressor   = (*V2)(nil)
 	_ compress.AppendDecompressor = (*V2)(nil)
 	_ compress.Limited            = (*V2)(nil)
 	_ compress.Describer          = (*V2)(nil)
-	_ compress.LightDecoder       = (*V2)(nil)
 )

@@ -93,11 +93,6 @@ func (c *Codec) Info() compress.Info {
 	}
 }
 
-// DecodeIsLight implements compress.LightDecoder: decoding is table lookups
-// and bit reads at memory-bandwidth-class speed, so on a single CPU the
-// parallel engine's pool overhead costs more than it can recover.
-func (c *Codec) DecodeIsLight() bool { return true }
-
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, error) {
 	return c.CompressAppend(nil, src)
@@ -433,5 +428,4 @@ var (
 	_ compress.AppendDecompressor = (*Codec)(nil)
 	_ compress.Limited            = (*Codec)(nil)
 	_ compress.Describer          = (*Codec)(nil)
-	_ compress.LightDecoder       = (*Codec)(nil)
 )

@@ -457,14 +457,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // codecsResponse is one GET /v1/codecs entry: identity plus the capability
 // hints clients and the gateway introspect instead of hard-coding names —
-// whether the decoder is light enough for the serial fallback path, whether
-// the codec emits per-stage trace spans, and whether the auto-mode advisor
-// considers it a candidate.
+// whether the codec emits per-stage trace spans, and whether the auto-mode
+// advisor considers it a candidate.
 type codecsResponse struct {
 	Name            string `json:"name"`
 	Version         string `json:"version,omitempty"`
 	Source          string `json:"source,omitempty"`
-	LightDecoder    bool   `json:"light_decoder"`
 	TracedStages    bool   `json:"traced_stages"`
 	AdvisorEligible bool   `json:"advisor_eligible"`
 }
@@ -476,7 +474,6 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 		c := s.codecs[name]
 		entry := codecsResponse{
 			Name:            name,
-			LightDecoder:    compress.DecodeIsLight(c),
 			AdvisorEligible: s.advisor.Eligible(name),
 		}
 		if d, ok := c.(compress.Describer); ok {

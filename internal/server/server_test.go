@@ -428,19 +428,6 @@ func TestCodecsEndpoint(t *testing.T) {
 			t.Fatalf("codec %q not advisor-eligible; default advisor should cover the registry", entry.Name)
 		}
 	}
-	// Capability hints: the frame forwards the inner codec's weight class
-	// and stage tracing, so fpc32 must read light+traced while bzip2 is
-	// neither.
-	byName := map[string]codecsResponse{}
-	for _, entry := range got {
-		byName[entry.Name] = entry
-	}
-	if e := byName["fpc32"]; !e.LightDecoder {
-		t.Fatalf("fpc32 hints = %+v, want light decoder", e)
-	}
-	if e := byName["bzip2"]; e.LightDecoder {
-		t.Fatalf("bzip2 hints = %+v, want heavy decoder", e)
-	}
 }
 
 func TestHealthzAndMetrics(t *testing.T) {

@@ -12,6 +12,9 @@
 #                    and close-drain ordering only vary across schedules
 #   make test-predict  the predictive codec family (internal/predict and
 #                    positpack v2), race-enabled and run twice
+#   make test-lc     the LC pipeline search and the Huffman builder,
+#                    race-enabled and run twice: the search's pooled
+#                    scratch crosses par.For workers
 #   make test-server the positd HTTP layer, race-enabled and run twice
 #   make test-advisor  the adaptive codec selection layer (internal/advisor
 #                    and cmd/positadvise), race-enabled and run twice: the
@@ -75,7 +78,7 @@ SCALING_BASE ?= results/BENCH_scaling_base.json
 SCALING_THRESHOLD ?= 10
 SCALING_BYTES ?= 1048576
 
-.PHONY: all check fmt vet build test race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench bench-smoke bench-diff bench-scaling fuzz-smoke ci
+.PHONY: all check fmt vet build test race test-parallel test-engine test-predict test-lc test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench bench-smoke bench-diff bench-scaling fuzz-smoke ci
 
 SOAK_DURATION ?= 5s
 SOAK_QPS ?= 80
@@ -124,6 +127,13 @@ test-engine:
 # pool discipline (and the golden/property wall reruns for free).
 test-predict:
 	$(GO) test -race -count=2 ./internal/predict/... ./internal/positpack/...
+
+# The LC pipeline search and the Huffman builder, twice under the race
+# detector: each stage-1 iteration takes its scratch from a pool shared by
+# the par.For workers, so a second run with different schedules is the
+# cheapest ordering fuzz for the pool discipline.
+test-lc:
+	$(GO) test -race -count=2 ./internal/lc ./internal/huffman
 
 # The HTTP service layer, twice under the race detector: handlers stream
 # through the parallel engine, so they inherit its scheduling sensitivity.
@@ -397,4 +407,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: check race test-parallel test-engine test-predict test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench-smoke bench-scaling fuzz-smoke
+ci: check race test-parallel test-engine test-predict test-lc test-server test-advisor test-gateway test-range smoke-server soak-smoke soak-auto soak-gateway soak-range bench-smoke bench-scaling fuzz-smoke

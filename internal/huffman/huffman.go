@@ -4,7 +4,6 @@
 package huffman
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,6 +19,24 @@ const MaxBits = 15
 // symbol frequencies. Symbols with zero frequency get length 0 (no code).
 // If only one symbol has nonzero frequency it is assigned length 1.
 func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
+	var b Builder
+	return b.Lengths(freqs, maxBits)
+}
+
+// Builder computes code lengths like BuildLengths, reusing its working
+// memory from call to call. The zero value is ready to use. A Builder is
+// not safe for concurrent use.
+type Builder struct {
+	work    []int // frequencies, halved on each limit retry
+	lengths []uint8
+	leaves  []int // symbols with nonzero frequency, then sorted by (freq, sym)
+	spare   []int // the radix sort's other buffer
+	tree    []int // node weights (then depths) and parents, one half each
+}
+
+// Lengths is BuildLengths on b's memory. The returned slice belongs to b
+// and is overwritten by the next call.
+func (b *Builder) Lengths(freqs []int, maxBits int) ([]uint8, error) {
 	if maxBits < 1 || maxBits > 30 {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
 	}
@@ -30,19 +47,18 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 	if n > 1<<maxBits {
 		return nil, fmt.Errorf("huffman: alphabet size %d exceeds 2^%d", n, maxBits)
 	}
-	work := make([]int, n)
-	copy(work, freqs)
+	b.work = append(b.work[:0], freqs...)
 	for {
-		lengths, maxLen := buildOnce(work)
+		lengths, maxLen := b.buildOnce(b.work)
 		if maxLen <= maxBits {
 			return lengths, nil
 		}
 		// Flatten the distribution and retry; this converges because all
 		// frequencies eventually reach 1, which yields a balanced tree of
 		// depth ceil(log2(n)) <= maxBits.
-		for i, f := range work {
+		for i, f := range b.work {
 			if f > 0 {
-				work[i] = (f + 1) / 2
+				b.work[i] = (f + 1) / 2
 			}
 		}
 	}
@@ -55,15 +71,20 @@ func BuildLengths(freqs []int, maxBits int) ([]uint8, error) {
 // symbol and the k-th internal node's is len(freqs)+k. Popping the smaller
 // head therefore replays exactly the merge sequence of a binary heap keyed
 // on that order, and yields the same lengths.
-func buildOnce(freqs []int) ([]uint8, int) {
+func (b *Builder) buildOnce(freqs []int) ([]uint8, int) {
 	n := len(freqs)
-	lengths := make([]uint8, n)
-	leaves := make([]int, 0, n) // symbols with nonzero frequency
+	b.lengths = slices.Grow(b.lengths[:0], n)[:n]
+	lengths := b.lengths
+	clear(lengths)
+	leaves := slices.Grow(b.leaves[:0], n)
+	maxFreq := 0
 	for sym, f := range freqs {
 		if f > 0 {
 			leaves = append(leaves, sym)
+			maxFreq = max(maxFreq, f)
 		}
 	}
+	b.leaves = leaves
 	m := len(leaves)
 	switch m {
 	case 0:
@@ -72,16 +93,11 @@ func buildOnce(freqs []int) ([]uint8, int) {
 		lengths[leaves[0]] = 1
 		return lengths, 1
 	}
-	slices.SortFunc(leaves, func(a, b int) int {
-		if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	leaves = b.sortLeaves(freqs, maxFreq)
 	// Nodes 0..m-1 are the sorted leaves, m..2m-2 the internal nodes in
 	// creation order; the root is the last one created.
-	weight := make([]int, 2*m-1)
-	parent := make([]int, 2*m-1)
+	b.tree = slices.Grow(b.tree[:0], 2*(2*m-1))[:2*(2*m-1)]
+	weight, parent := b.tree[:2*m-1], b.tree[2*m-1:]
 	for i, sym := range leaves {
 		weight[i] = freqs[sym]
 	}
@@ -119,24 +135,59 @@ func buildOnce(freqs []int) ([]uint8, int) {
 	return lengths, maxLen
 }
 
+// sortLeaves orders b.leaves, which are in symbol order, by (freq, sym):
+// a least-significant-byte-first radix sort on the frequency, each pass
+// stable, so equal frequencies keep symbol order. A pass that would put
+// every leaf in one bucket is skipped.
+func (b *Builder) sortLeaves(freqs []int, maxFreq int) []int {
+	src := b.leaves
+	dst := slices.Grow(b.spare[:0], len(src))[:len(src)]
+	for shift := uint(0); maxFreq>>shift > 0; shift += 8 {
+		var count [256]int
+		for _, sym := range src {
+			count[freqs[sym]>>shift&0xff]++
+		}
+		if count[freqs[src[0]]>>shift&0xff] == len(src) {
+			continue
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, sym := range src {
+			d := freqs[sym] >> shift & 0xff
+			dst[count[d]] = sym
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	b.leaves, b.spare = src, dst
+	return src
+}
+
 // canonicalCodes assigns canonical codes (shorter codes first, ties by
-// symbol order) from a length table.
-func canonicalCodes(lengths []uint8) ([]uint32, error) {
+// symbol order) from a length table, reusing dst's memory.
+func canonicalCodes(dst []uint32, lengths []uint8) ([]uint32, error) {
 	maxLen := uint8(0)
 	for _, l := range lengths {
 		if l > maxLen {
 			maxLen = l
 		}
 	}
+	codes := slices.Grow(dst[:0], len(lengths))[:len(lengths)]
+	clear(codes)
 	if maxLen == 0 {
-		return make([]uint32, len(lengths)), nil
+		return codes, nil
 	}
-	count := make([]int, maxLen+1)
+	var countBuf [256]int
+	var nextBuf [257]uint32
+	count := countBuf[:maxLen+1]
 	for _, l := range lengths {
 		count[l]++
 	}
 	count[0] = 0
-	next := make([]uint32, maxLen+2)
+	next := nextBuf[:maxLen+2]
 	code := uint32(0)
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + uint32(count[l-1])) << 1
@@ -152,7 +203,6 @@ func canonicalCodes(lengths []uint8) ([]uint32, error) {
 	if kraft > 1<<uint(maxLen) {
 		return nil, compress.Errorf(compress.ErrCorrupt, "huffman: over-subscribed length table")
 	}
-	codes := make([]uint32, len(lengths))
 	for sym, l := range lengths {
 		if l == 0 {
 			continue
@@ -171,11 +221,22 @@ type Encoder struct {
 
 // NewEncoder builds an encoder from a length table.
 func NewEncoder(lengths []uint8) (*Encoder, error) {
-	codes, err := canonicalCodes(lengths)
-	if err != nil {
+	e := new(Encoder)
+	if err := e.Reset(lengths); err != nil {
 		return nil, err
 	}
-	return &Encoder{codes: codes, lengths: lengths}, nil
+	return e, nil
+}
+
+// Reset rebuilds e for a new length table, reusing its code table's
+// memory. e keeps a reference to lengths.
+func (e *Encoder) Reset(lengths []uint8) error {
+	codes, err := canonicalCodes(e.codes, lengths)
+	if err != nil {
+		return err
+	}
+	e.codes, e.lengths = codes, lengths
+	return nil
 }
 
 // Encode appends the code for sym to w.
@@ -206,7 +267,7 @@ type Decoder struct {
 
 // NewDecoder builds a decoder from a length table.
 func NewDecoder(lengths []uint8) (*Decoder, error) {
-	if _, err := canonicalCodes(lengths); err != nil {
+	if _, err := canonicalCodes(nil, lengths); err != nil {
 		return nil, err
 	}
 	maxLen := uint8(0)

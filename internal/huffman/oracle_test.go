@@ -111,7 +111,7 @@ func heapBuildLengths(freqs []int, maxBits int) ([]uint8, int) {
 // heap builder on freqs, and returns the number of limit retries.
 func checkAgainstOracle(t *testing.T, freqs []int, maxBits int) int {
 	t.Helper()
-	gotOnce, gotMax := buildOnce(freqs)
+	gotOnce, gotMax := new(Builder).buildOnce(freqs)
 	wantOnce, wantMax := heapBuildOnce(freqs)
 	if gotMax != wantMax || string(gotOnce) != string(wantOnce) {
 		t.Fatalf("buildOnce(%v) = %v max %d, heap builder %v max %d", freqs, gotOnce, gotMax, wantOnce, wantMax)
@@ -168,6 +168,10 @@ func TestBuildLengthsMatchesHeapBuilder(t *testing.T) {
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	retried := 0
+	// One Builder serves every table, so each call starts from the
+	// previous table's leftovers: a different alphabet size, leaf count
+	// and tree.
+	var reused Builder
 	for i := 0; i < 1000; i++ {
 		freqs := randomFreqs(rng)
 		maxBits := 8 + rng.Intn(MaxBits-7)
@@ -176,6 +180,11 @@ func TestBuildLengthsMatchesHeapBuilder(t *testing.T) {
 		}
 		if checkAgainstOracle(t, freqs, maxBits) > 0 {
 			retried++
+		}
+		want, _ := heapBuildLengths(freqs, maxBits)
+		got, err := reused.Lengths(freqs, maxBits)
+		if err != nil || string(got) != string(want) {
+			t.Fatalf("reused Builder.Lengths(%v, %d) = %v, %v; heap builder %v", freqs, maxBits, got, err, want)
 		}
 	}
 	if retried == 0 {

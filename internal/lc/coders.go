@@ -42,58 +42,84 @@ func checkDeclaredWords(stage string, nWords, tailLen uint64, maxOut int) error 
 
 // --- recursive bitmap codec -------------------------------------------------
 
-// encodeBitmapBody compresses b by zero-byte suppression, recursing on its
-// own occupancy bitmap as long as that pays off ("compressed ... repeatedly
-// with the same algorithm"). Layout: flag byte (0 = stored, 1 = recursive),
-// then either the raw bytes or the encoded occupancy bitmap followed by the
-// nonzero bytes.
-func encodeBitmapBody(b []byte) []byte {
-	if len(b) < 16 {
-		return append([]byte{0}, b...)
-	}
-	sub, nz := occupancy(b)
-	inner := encodeBitmapBody(sub)
-	if 1+len(inner)+nz < 1+len(b) {
-		out := make([]byte, 0, 1+len(inner)+nz)
-		out = append(out, 1)
-		out = append(out, inner...)
-		for _, v := range b {
-			if v != 0 {
-				out = append(out, v)
+// appendBitmapBody appends b compressed by zero-byte suppression,
+// recursing on its own occupancy bitmap as long as that pays off
+// ("compressed ... repeatedly with the same algorithm"). Layout: flag byte
+// (0 = stored, 1 = recursive), then either the raw bytes or the encoded
+// occupancy bitmap followed by the nonzero bytes. b sits at recursion
+// level; its occupancy bitmap is built in sc.levels[level].
+func appendBitmapBody(dst, b []byte, sc *scratch, level int) []byte {
+	if len(b) >= 16 {
+		sub, nz := sc.occupancy(b, level)
+		if inner := bitmapBodySize(sub, sc, level+1); 1+inner+nz < 1+len(b) {
+			dst = append(dst, 1)
+			dst = appendBitmapBody(dst, sub, sc, level+1)
+			for _, v := range b {
+				if v != 0 {
+					dst = append(dst, v)
+				}
 			}
+			return dst
 		}
-		return out
 	}
-	return append([]byte{0}, b...)
+	dst = append(dst, 0)
+	return append(dst, b...)
 }
 
-// bitmapBodySize returns len(encodeBitmapBody(b)) without building it: it
-// takes the same recursive decisions, materializing only each level's
-// occupancy bitmap.
-func bitmapBodySize(b []byte) int {
+// bitmapBodySize returns the number of bytes appendBitmapBody appends for
+// b without building them: it takes the same recursive decisions,
+// materializing only each level's occupancy bitmap.
+func bitmapBodySize(b []byte, sc *scratch, level int) int {
 	if len(b) < 16 {
 		return 1 + len(b)
 	}
-	sub, nz := occupancy(b)
-	if inner := bitmapBodySize(sub); 1+inner+nz < 1+len(b) {
+	sub, nz := sc.occupancy(b, level)
+	if inner := bitmapBodySize(sub, sc, level+1); 1+inner+nz < 1+len(b) {
 		return 1 + inner + nz
 	}
 	return 1 + len(b)
 }
 
-// occupancy returns the MSB-first bitmap of b's nonzero bytes and their
-// count.
-func occupancy(b []byte) ([]byte, int) {
-	sub := make([]byte, (len(b)+7)/8)
+// occupancy builds the MSB-first bitmap of b's nonzero bytes in
+// sc.levels[level] and returns it with their count.
+func (sc *scratch) occupancy(b []byte, level int) ([]byte, int) {
+	if level == len(sc.levels) {
+		sc.levels = append(sc.levels, nil)
+	}
+	sub := resize(sc.levels[level], (len(b)+7)/8)
+	sc.levels[level] = sub
 	nz := 0
-	for i, v := range b {
-		if v != 0 {
-			sub[i/8] |= 1 << (7 - i%8)
-			nz++
-		}
+	for i := range sub {
+		// (x&0x7f)+0x7f stays within its byte and has its top bit set
+		// iff the low seven bits are nonzero; OR in x's own top bit.
+		x := load8(b, 8*i)
+		m := msbs((x&^highBits + (highBits - lowBytes)) | x)
+		sub[i] = m
+		nz += bits.OnesCount8(m)
 	}
 	return sub, nz
 }
+
+const (
+	lowBytes = 0x0101010101010101 // 1 in every byte
+	highBits = 0x8080808080808080 // the top bit of every byte
+)
+
+// load8 returns b[i:i+8] as a big-endian uint64, so b[i] is the top
+// byte, zero-padded past the end of b.
+func load8(b []byte, i int) uint64 {
+	if i+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[i:])
+	}
+	var pad [8]byte
+	copy(pad[:], b[i:])
+	return binary.BigEndian.Uint64(pad[:])
+}
+
+// msbs gathers the top bit of each byte of x into one byte, the top
+// byte's into bit 7: the multiply moves the bit of byte j to bit 56+j
+// without collisions or carries.
+func msbs(x uint64) byte { return byte((x & highBits) * 0x0002040810204081 >> 56) }
 
 // decodeBitmapBody reconstructs n bytes, returning them and the number of
 // encoded bytes consumed.
@@ -139,15 +165,45 @@ type rle struct{}
 
 func (rle) Name() string { return "RLE" }
 
-func (rle) Forward(src []byte) ([]byte, error) { return mtf.RLE1(src), nil }
+func (c rle) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
 
-// ForwardSize scans runs with mtf.RLE1's rule: a run of 4..259 equal bytes
+func (rle) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	return mtf.AppendRLE1(dst, src), nil
+}
+
+func (c rle) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
+
+// forwardSize scans runs with mtf.RLE1's rule: a run of 4..259 equal bytes
 // becomes 4 copies plus a count byte, a shorter run stays literal.
-func (rle) ForwardSize(src []byte) (int, error) {
+// Where no byte of the next eight equals its successor, those eight are
+// runs of one and are counted in one step.
+func (rle) forwardSize(src []byte, _ *scratch) (int, error) {
 	size := 0
 	for i := 0; i < len(src); {
+		if i+9 <= len(src) {
+			// Byte j of d is zero where src[i+j] == src[i+j+1]; the lowest
+			// byte z flags is the first such j.
+			d := binary.LittleEndian.Uint64(src[i:]) ^ binary.LittleEndian.Uint64(src[i+1:])
+			z := (d - lowBytes) &^ d & highBits
+			if z == 0 {
+				size += 8
+				i += 8
+				continue
+			}
+			skip := bits.TrailingZeros64(z) / 8
+			size += skip
+			i += skip
+		}
 		b := src[i]
 		run := 1
+		if i+8 <= len(src) {
+			// The run covers the low bytes of src[i:i+8] that equal b.
+			if x := binary.LittleEndian.Uint64(src[i:]) ^ uint64(b)*lowBytes; x != 0 {
+				run = bits.TrailingZeros64(x) / 8
+			} else {
+				run = 8
+			}
+		}
 		for i+run < len(src) && src[i+run] == b && run < 259 {
 			run++
 		}
@@ -176,40 +232,49 @@ type rze struct{}
 
 func (rze) Name() string { return "RZE" }
 
-func (rze) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	flags, nz := nonzeroWords(src)
-	out := bitio.PutUvarint(nil, uint64(len(words)))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
-	out = append(out, encodeBitmapBody(flags)...)
-	out = slices.Grow(out, 4*nz+len(tail))
-	for _, w := range words {
-		if w != 0 {
-			out = binary.LittleEndian.AppendUint32(out, w)
+func (c rze) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, new(scratch)) }
+
+func (rze) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
+	n := len(src) / 4
+	flags, nz := sc.nonzeroWords(src)
+	dst = bitio.PutUvarint(dst, uint64(n))
+	dst = bitio.PutUvarint(dst, uint64(len(src)-4*n))
+	dst = appendBitmapBody(dst, flags, sc, 0)
+	dst = slices.Grow(dst, 4*nz+len(src)-4*n)
+	for i := 0; i < 4*n; i += 4 {
+		if w := src[i : i+4]; binary.LittleEndian.Uint32(w) != 0 {
+			dst = append(dst, w...)
 		}
 	}
-	return append(out, tail...), nil
+	return append(dst, src[4*n:]...), nil
 }
 
-// ForwardSize is the two uvarint header fields, the encoded occupancy
+func (c rze) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, new(scratch)) }
+
+// forwardSize is the two uvarint header fields, the encoded occupancy
 // bitmap, four bytes per nonzero word, and the ragged tail.
-func (rze) ForwardSize(src []byte) (int, error) {
+func (rze) forwardSize(src []byte, sc *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
-	flags, nz := nonzeroWords(src)
-	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + bitmapBodySize(flags) + 4*nz + tail, nil
+	flags, nz := sc.nonzeroWords(src)
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + bitmapBodySize(flags, sc, 0) + 4*nz + tail, nil
 }
 
-// nonzeroWords returns the MSB-first occupancy bitmap of src's nonzero
-// whole words and their count.
-func nonzeroWords(src []byte) ([]byte, int) {
+// nonzeroWords builds the MSB-first occupancy bitmap of src's nonzero
+// whole words in sc.flags and returns it with their count.
+func (sc *scratch) nonzeroWords(src []byte) ([]byte, int) {
 	n := len(src) / 4
-	flags := make([]byte, (n+7)/8)
+	flags := resize(sc.flags, (n+7)/8)
+	sc.flags = flags
 	nz := 0
-	for i := 0; i < n; i++ {
-		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
-			flags[i/8] |= 1 << (7 - i%8)
-			nz++
+	for i := range flags {
+		var m byte
+		for p := 32 * i; p < min(32*i+32, 4*n); p += 4 {
+			w := uint64(binary.LittleEndian.Uint32(src[p:]))
+			m = m<<1 | byte((w+0xffffffff)>>32) // 1 iff w != 0
 		}
+		m <<= (8 - min(8, n-8*i)) // the last byte is left-aligned
+		flags[i] = m
+		nz += bits.OnesCount8(m)
 	}
 	return flags, nz
 }
@@ -258,36 +323,47 @@ func (rze) InverseLimit(src []byte, maxOut int) ([]byte, error) {
 
 // --- RARE / RAZE ---------------------------------------------------------------
 
-// topCoder implements the shared structure of RARE and RAZE: a per-word
-// flag (top k bits repeat / are zero), the k-bit tops of unflagged words,
-// and the (32-k)-bit bottoms of all words. k is chosen per block to
-// minimize the pre-bitmap-compression size.
+// topCoder implements RARE and RAZE: a per-word flag (top k bits repeat
+// the previous word's / are zero), the k-bit tops of unflagged words, and
+// the (32-k)-bit bottoms of all words. k is chosen per block to minimize
+// the pre-bitmap-compression size.
 type topCoder struct {
 	name string
-	// flagged reports, per word, the leading-bit count that makes the word
-	// flaggable at a given k: for RARE the number of leading bits equal to
-	// the previous word's, for RAZE the number of leading zero bits.
-	leadBits func(w, prev uint32) int
+	zero bool // RAZE: flag zero tops; RARE (false): flag repeated tops
 }
 
 func (t topCoder) Name() string { return t.name }
 
-// plan returns the lead-bit count of each whole word of src and the k in
+// prevMask is ANDed with the previous word before it is XORed into the
+// current one, so a word's lead-bit count is that of w ^ (prev & prevMask):
+// all ones compares with the previous word (RARE), zero with nothing
+// (RAZE).
+func (t topCoder) prevMask() uint32 {
+	if t.zero {
+		return 0
+	}
+	return ^uint32(0)
+}
+
+// plan fills sc.leads with the lead-bit count of each whole word of src
+// (for RARE the number of leading bits equal to the previous word's, for
+// RAZE the number of leading zero bits) and returns them with the k in
 // 1..31 that minimizes the pre-bitmap-compression size. A word is flagged
 // at k when its lead count is at least k.
-func (t topCoder) plan(src []byte) ([]uint8, int) {
+func (t topCoder) plan(src []byte, sc *scratch) ([]uint8, int) {
 	n := len(src) / 4
-	leads := make([]uint8, n)
-	// Histogram of lead-bit counts -> flagged(k) via suffix sums.
+	leads := resize(sc.leads, n)
+	sc.leads = leads
 	var hist [33]int
-	prev := uint32(0)
+	mask, prev := t.prevMask(), uint32(0)
 	for i := range leads {
 		w := binary.LittleEndian.Uint32(src[4*i:])
-		l := t.leadBits(w, prev)
+		l := bits.LeadingZeros32(w ^ prev&mask)
 		leads[i] = uint8(l)
 		hist[l]++
 		prev = w
 	}
+	// flagged(k) via suffix sums.
 	bestK, bestCost := 1, int64(1)<<62
 	flaggedAtLeast := 0
 	for k := 32; k >= 1; k-- {
@@ -304,56 +380,67 @@ func (t topCoder) plan(src []byte) ([]uint8, int) {
 	return leads, bestK
 }
 
-// flagBitmap packs one flag per word, MSB-first, and counts the unflagged
-// words.
-func flagBitmap(leads []uint8, k int) ([]byte, int) {
-	flags := make([]byte, (len(leads)+7)/8)
-	unflagged := 0
-	for i, l := range leads {
-		if int(l) >= k {
-			flags[i/8] |= 1 << (7 - i%8)
-		} else {
-			unflagged++
-		}
+// flagBitmap packs one flag per word (lead count >= k), MSB-first, in
+// sc.flags and counts the unflagged words.
+func (sc *scratch) flagBitmap(leads []uint8, k int) ([]byte, int) {
+	flags := resize(sc.flags, (len(leads)+7)/8)
+	sc.flags = flags
+	// Lead counts are at most 32 and 1 <= k <= 31, so l+0x80-k stays
+	// within its byte and has its top bit set iff l >= k. Zero padding
+	// past the last word is never flagged.
+	add := uint64(0x80-k) * lowBytes
+	flagged := 0
+	for i := range flags {
+		m := msbs(load8(leads, 8*i) + add)
+		flags[i] = m
+		flagged += bits.OnesCount8(m)
 	}
-	return flags, unflagged
+	return flags, len(leads) - flagged
 }
 
 func (t topCoder) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
-	leads, k := t.plan(src)
-	flags, unflagged := flagBitmap(leads, k)
-	tops := bitio.NewWriter(unflagged*k/8 + 8)
-	bottoms := bitio.NewWriter(n*4 + 8)
-	for i, w := range words {
-		if int(leads[i]) < k {
-			tops.WriteBits(uint64(w>>(32-uint(k))), uint(k))
-		}
-		bottoms.WriteBits(uint64(w)&(1<<(32-uint(k))-1), 32-uint(k))
-	}
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
-	out = append(out, byte(k))
-	out = append(out, encodeBitmapBody(flags)...)
-	tb := tops.Bytes()
-	out = bitio.PutUvarint(out, uint64(len(tb)))
-	out = append(out, tb...)
-	out = append(out, bottoms.Bytes()...)
-	return append(out, tail...), nil
+	return t.appendForward(nil, src, new(scratch))
 }
 
-// ForwardSize counts what Forward writes without writing a bit: the
+func (t topCoder) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
+	n := len(src) / 4
+	leads, k := t.plan(src, sc)
+	flags, _ := sc.flagBitmap(leads, k)
+	tops, bottoms := &sc.tops, &sc.bottoms
+	tops.Reset()
+	bottoms.Reset()
+	kk := uint(k)
+	for i, l := range leads {
+		w := binary.LittleEndian.Uint32(src[4*i:])
+		if int(l) < k {
+			tops.WriteBits(uint64(w>>(32-kk)), kk)
+		}
+		bottoms.WriteBits(uint64(w)&(1<<(32-kk)-1), 32-kk)
+	}
+	dst = bitio.PutUvarint(dst, uint64(n))
+	dst = bitio.PutUvarint(dst, uint64(len(src)-4*n))
+	dst = append(dst, byte(k))
+	dst = appendBitmapBody(dst, flags, sc, 0)
+	tb := tops.Bytes()
+	dst = bitio.PutUvarint(dst, uint64(len(tb)))
+	dst = append(dst, tb...)
+	dst = append(dst, bottoms.Bytes()...)
+	return append(dst, src[4*n:]...), nil
+}
+
+func (t topCoder) ForwardSize(src []byte) (int, error) { return t.forwardSize(src, new(scratch)) }
+
+// forwardSize counts what appendForward writes without writing a bit: the
 // header (two uvarints and k), the encoded flag bitmap, the tops length
 // and ceil(unflagged*k/8) tops bytes, ceil(n*(32-k)/8) bottoms bytes, and
 // the ragged tail.
-func (t topCoder) ForwardSize(src []byte) (int, error) {
+func (t topCoder) forwardSize(src []byte, sc *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
-	leads, k := t.plan(src)
-	flags, unflagged := flagBitmap(leads, k)
+	leads, k := t.plan(src, sc)
+	flags, unflagged := sc.flagBitmap(leads, k)
 	tops := (unflagged*k + 7) / 8
 	bottoms := (n*(32-k) + 7) / 8
-	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 1 + bitmapBodySize(flags) +
+	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 1 + bitmapBodySize(flags, sc, 0) +
 		uvarintLen(uint64(tops)) + tops + bottoms + tail, nil
 }
 
@@ -429,34 +516,10 @@ func (t topCoder) InverseLimit(src []byte, maxOut int) ([]byte, error) {
 
 // flaggedTop reconstructs the implied top bits of a flagged word.
 func (t topCoder) flaggedTop(prev uint32, k int) uint32 {
-	if t.name == "RAZE" {
+	if t.zero {
 		return 0
 	}
 	return prev >> (32 - uint(k))
-}
-
-// rare flags words whose top k bits repeat the previous word's.
-type rare struct{ topCoder }
-
-func newRARE() rare {
-	return rare{topCoder{
-		name: "RARE",
-		leadBits: func(w, prev uint32) int {
-			return bits.LeadingZeros32(w ^ prev)
-		},
-	}}
-}
-
-// raze flags words whose top k bits are zero.
-type raze struct{ topCoder }
-
-func newRAZE() raze {
-	return raze{topCoder{
-		name: "RAZE",
-		leadBits: func(w, prev uint32) int {
-			return bits.LeadingZeros32(w)
-		},
-	}}
 }
 
 // --- HUF ----------------------------------------------------------------------
@@ -467,55 +530,79 @@ type huf struct{}
 
 func (huf) Name() string { return "HUF" }
 
-// byteCode returns src's byte histogram and its code lengths.
-func byteCode(src []byte) ([]int, []uint8, error) {
-	freqs := make([]int, 256)
-	for _, b := range src {
-		freqs[b]++
+// plan builds src's byte histogram and, in sc, its code lengths, and
+// returns the lengths with the size in bits of the coded body: the
+// serialized length table plus sum(freq*len).
+func (huf) plan(src []byte, sc *scratch) ([]uint8, int, error) {
+	// Four interleaved histograms keep runs of one byte value from
+	// serializing on a single counter.
+	var h [4][256]int
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		h[0][src[i]]++
+		h[1][src[i+1]]++
+		h[2][src[i+2]]++
+		h[3][src[i+3]]++
 	}
-	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
-	return freqs, lengths, err
+	for ; i < len(src); i++ {
+		h[0][src[i]]++
+	}
+	var freqs [256]int
+	for b := range freqs {
+		freqs[b] = h[0][b] + h[1][b] + h[2][b] + h[3][b]
+	}
+	lengths, err := sc.lengths.Lengths(freqs[:], huffman.MaxBits)
+	if err != nil {
+		return nil, 0, err
+	}
+	nbits, err := huffman.LengthsBits(lengths)
+	if err != nil {
+		return nil, 0, err
+	}
+	for sym, f := range freqs {
+		nbits += f * int(lengths[sym])
+	}
+	return lengths, nbits, nil
 }
 
-func (huf) Forward(src []byte) ([]byte, error) {
-	_, lengths, err := byteCode(src)
+func (c huf) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, new(scratch)) }
+
+// appendForward writes the mode byte and length uvarint, then either the
+// length table and code stream (mode 1) or, when the coded body would be
+// no smaller than src, src itself (mode 0).
+func (c huf) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
+	lengths, nbits, err := c.plan(src, sc)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := huffman.NewEncoder(lengths)
-	if err != nil {
+	if (nbits+7)/8 >= len(src) {
+		dst = bitio.PutUvarint(append(dst, 0), uint64(len(src)))
+		return append(dst, src...), nil
+	}
+	if err := sc.enc.Reset(lengths); err != nil {
 		return nil, err
 	}
-	w := bitio.NewWriter(len(src)/2 + 160)
+	w := &sc.body
+	w.Reset()
 	if err := huffman.WriteLengths(w, lengths); err != nil {
 		return nil, err
 	}
 	for _, b := range src {
-		enc.Encode(w, int(b))
+		sc.enc.Encode(w, int(b))
 	}
-	body := w.Bytes()
-	if len(body) >= len(src) {
-		out := append(bitio.PutUvarint([]byte{0}, uint64(len(src))), src...)
-		return out, nil
-	}
-	return append(bitio.PutUvarint([]byte{1}, uint64(len(src))), body...), nil
+	dst = bitio.PutUvarint(append(dst, 1), uint64(len(src)))
+	return append(dst, w.Bytes()...), nil
 }
 
-// ForwardSize prices the code from the histogram alone: the mode byte and
-// length uvarint, then the serialized length table plus sum(freq*len)
-// bits rounded up to whole bytes, or the stored copy when that is no
-// smaller (Forward's escape rule).
-func (huf) ForwardSize(src []byte) (int, error) {
-	freqs, lengths, err := byteCode(src)
+func (c huf) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, new(scratch)) }
+
+// forwardSize prices the code from the histogram alone: the mode byte and
+// length uvarint, then the coded body's whole bytes or the stored copy
+// when that is no larger (appendForward's escape rule).
+func (c huf) forwardSize(src []byte, sc *scratch) (int, error) {
+	_, nbits, err := c.plan(src, sc)
 	if err != nil {
 		return 0, err
-	}
-	nbits, err := huffman.LengthsBits(lengths)
-	if err != nil {
-		return 0, err
-	}
-	for sym, f := range freqs {
-		nbits += f * int(lengths[sym])
 	}
 	body := min((nbits+7)/8, len(src))
 	return 1 + uvarintLen(uint64(len(src))) + body, nil

@@ -13,6 +13,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
+
+	"positbench/internal/bitio"
+	"positbench/internal/huffman"
 )
 
 // Component is one invertible pipeline stage.
@@ -22,12 +27,40 @@ type Component interface {
 	// Forward transforms src; the result may have any length.
 	Forward(src []byte) ([]byte, error)
 	// ForwardSize returns len(Forward(src)) exactly, without building the
-	// output. The search calls it for the terminal stage, whose bytes
-	// would only be counted.
+	// output.
 	ForwardSize(src []byte) (int, error)
 	// Inverse exactly undoes Forward.
 	Inverse(src []byte) ([]byte, error)
+
+	// appendForward appends Forward(src) to dst, borrowing working memory
+	// from sc, which may be nil for stages that need none. It is the one
+	// forward implementation: Forward calls it with a nil dst.
+	appendForward(dst, src []byte, sc *scratch) ([]byte, error)
+	// forwardSize is ForwardSize with working memory borrowed from sc. The
+	// search calls it for the terminal stage, whose bytes would only be
+	// counted.
+	forwardSize(src []byte, sc *scratch) (int, error)
 }
+
+// scratch is the working memory of the forward and size paths. The search
+// takes one from scratchPool per stage-1 iteration and every transform and
+// sizer it runs borrows from it, so a warm search allocates nothing per
+// pipeline. A stage writes its output only to the dst it is given, never
+// into the scratch's other buffers. A scratch serves one goroutine at a
+// time.
+type scratch struct {
+	t1, t2  []byte       // intermediate stage outputs (search, Apply)
+	flags   []byte       // RZE/RARE/RAZE per-word flag bitmap
+	levels  [][]byte     // occupancy bitmap of each bitmap-recursion level
+	leads   []uint8      // RARE/RAZE lead-bit count of each word
+	tops    bitio.Writer // RARE/RAZE top bits of unflagged words
+	bottoms bitio.Writer // RARE/RAZE bottom bits of every word
+	body    bitio.Writer // HUF code stream
+	lengths huffman.Builder
+	enc     huffman.Encoder
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Components returns the full component library in canonical (ID) order.
 // Index in this slice is the component's wire ID, so the order is part of
@@ -43,13 +76,16 @@ func Components() []Component {
 		byteT{},                              // 6
 		rle{},                                // 7
 		rze{},                                // 8
-		newRARE(),                            // 9
-		newRAZE(),                            // 10
+		topCoder{name: "RARE"},               // 9
+		topCoder{name: "RAZE", zero: true},   // 10
 		huf{},                                // 11
 		diffStride{name: "DIFF4", stride: 4}, // 12
 		xorStride{name: "XOR4", stride: 4},   // 13
 	}
 }
+
+// nulID is NUL's wire ID (its index in Components).
+const nulID = 0
 
 // ByName returns the named component.
 func ByName(name string) (Component, error) {
@@ -82,14 +118,35 @@ func joinWords(words []uint32, tail []byte) []byte {
 	return out
 }
 
+// extend grows dst by n bytes and returns the result and its last n bytes,
+// which hold garbage until the caller writes them.
+func extend(dst []byte, n int) ([]byte, []byte) {
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	return out, out[len(dst):]
+}
+
+// resize returns buf with length n, reusing its memory when it can. The
+// contents are garbage.
+func resize(buf []byte, n int) []byte { return slices.Grow(buf[:0], n)[:n] }
+
 // uvarintLen is the encoded length of v as written by bitio.PutUvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// sameSize supplies the size methods of the stages whose output is exactly
+// as long as their input.
+type sameSize struct{}
+
+func (sameSize) ForwardSize(src []byte) (int, error)             { return len(src), nil }
+func (sameSize) forwardSize(src []byte, _ *scratch) (int, error) { return len(src), nil }
+
 // nul is the identity stage; its presence in the library means the 3-stage
 // search space contains every 1- and 2-stage pipeline as well.
-type nul struct{}
+type nul struct{ sameSize }
 
-func (nul) Name() string                        { return "NUL" }
-func (nul) Forward(src []byte) ([]byte, error)  { return append([]byte(nil), src...), nil }
-func (nul) Inverse(src []byte) ([]byte, error)  { return append([]byte(nil), src...), nil }
-func (nul) ForwardSize(src []byte) (int, error) { return len(src), nil }
+func (nul) Name() string                         { return "NUL" }
+func (c nul) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
+func (nul) Inverse(src []byte) ([]byte, error)   { return append([]byte(nil), src...), nil }
+
+func (nul) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	return append(dst, src...), nil
+}

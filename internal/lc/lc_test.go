@@ -276,7 +276,7 @@ func TestRecursiveBitmap(t *testing.T) {
 	sparse[17], sparse[500] = 3, 9
 	cases = append(cases, sparse)
 	for i, c := range cases {
-		enc := encodeBitmapBody(c)
+		enc := appendBitmapBody(nil, c, new(scratch), 0)
 		dec, used, err := decodeBitmapBody(enc, len(c))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -289,7 +289,7 @@ func TestRecursiveBitmap(t *testing.T) {
 		}
 	}
 	allZero := make([]byte, 100000)
-	if got := len(encodeBitmapBody(allZero)); got > 40 {
+	if got := len(appendBitmapBody(nil, allZero, new(scratch), 0)); got > 40 {
 		t.Fatalf("all-zero bitmap should collapse recursively: %d bytes", got)
 	}
 	if _, _, err := decodeBitmapBody(nil, 5); err == nil {

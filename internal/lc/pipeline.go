@@ -41,16 +41,35 @@ func (p Pipeline) String() string {
 }
 
 // Apply runs all forward stages.
-func (p Pipeline) Apply(src []byte) ([]byte, error) {
+func (p Pipeline) Apply(src []byte) ([]byte, error) { return p.appendApply(nil, src) }
+
+// appendApply appends the pipeline's output to dst. Intermediate outputs
+// alternate between two pooled scratch buffers; only the last stage
+// writes to dst, so nothing returned aliases pooled memory.
+func (p Pipeline) appendApply(dst, src []byte) ([]byte, error) {
+	if len(p.Stages) == 0 {
+		return append(dst, src...), nil
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	cur := src
-	for _, s := range p.Stages {
+	for i, s := range p.Stages {
 		var err error
-		cur, err = s.Forward(cur)
+		switch {
+		case i == len(p.Stages)-1:
+			dst, err = s.appendForward(dst, cur, sc)
+		case i%2 == 0:
+			sc.t1, err = s.appendForward(sc.t1[:0], cur, sc)
+			cur = sc.t1
+		default:
+			sc.t2, err = s.appendForward(sc.t2[:0], cur, sc)
+			cur = sc.t2
+		}
 		if err != nil {
 			return nil, fmt.Errorf("lc: stage %s: %w", s.Name(), err)
 		}
 	}
-	return cur, nil
+	return dst, nil
 }
 
 // Invert runs all inverse stages in reverse order with no output bound; use
@@ -123,11 +142,7 @@ func (c *Codec) Compress(src []byte) ([]byte, error) {
 		}
 		out = append(out, byte(id))
 	}
-	body, err := c.pipe.Apply(src)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, body...), nil
+	return c.pipe.appendApply(out, src)
 }
 
 // Decompress implements compress.Codec with default decode limits.

@@ -1,24 +1,28 @@
 package lc
 
+import "encoding/binary"
+
 // Predictor components: same-length word transforms that turn value
 // correlation between neighbors into small (or sparse) residuals. Their
 // output is always exactly as long as their input.
 
 // diff emits the two's-complement difference sequence ("delta modulation").
-type diff struct{}
+type diff struct{ sameSize }
 
 func (diff) Name() string { return "DIFF" }
 
-func (diff) ForwardSize(src []byte) (int, error) { return len(src), nil }
+func (c diff) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
 
-func (diff) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
+func (diff) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
 	prev := uint32(0)
-	for i, w := range words {
-		words[i] = w - prev
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		binary.LittleEndian.PutUint32(o[i:], w-prev)
 		prev = w
 	}
-	return joinWords(words, tail), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 func (diff) Inverse(src []byte) ([]byte, error) {
@@ -34,23 +38,25 @@ func (diff) Inverse(src []byte) ([]byte, error) {
 // diffMS emits differences in magnitude-sign (zigzag) form: small positive
 // and negative deltas both map to values with many leading zero bits.
 // This is the first stage of the paper's best float pipeline.
-type diffMS struct{}
+type diffMS struct{ sameSize }
 
 func (diffMS) Name() string { return "DIFFMS" }
-
-func (diffMS) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 func zigzag(d uint32) uint32   { return d<<1 ^ uint32(int32(d)>>31) }
 func unzigzag(z uint32) uint32 { return z>>1 ^ -(z & 1) }
 
-func (diffMS) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
+func (c diffMS) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
+
+func (diffMS) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
 	prev := uint32(0)
-	for i, w := range words {
-		words[i] = zigzag(w - prev)
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		binary.LittleEndian.PutUint32(o[i:], zigzag(w-prev))
 		prev = w
 	}
-	return joinWords(words, tail), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 func (diffMS) Inverse(src []byte) ([]byte, error) {
@@ -67,25 +73,27 @@ func (diffMS) Inverse(src []byte) ([]byte, error) {
 // the paper's best posit pipeline. Negabinary also maps small-magnitude
 // deltas to small codes but distributes sign information across the bits,
 // which interacts well with bit-plane transposition.
-type diffNB struct{}
+type diffNB struct{ sameSize }
 
 func (diffNB) Name() string { return "DIFFNB" }
-
-func (diffNB) ForwardSize(src []byte) (int, error) { return len(src), nil }
 
 const nbMask = 0xAAAAAAAA
 
 func toNegabinary(x uint32) uint32   { return (x + nbMask) ^ nbMask }
 func fromNegabinary(n uint32) uint32 { return (n ^ nbMask) - nbMask }
 
-func (diffNB) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
+func (c diffNB) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
+
+func (diffNB) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
 	prev := uint32(0)
-	for i, w := range words {
-		words[i] = toNegabinary(w - prev)
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		binary.LittleEndian.PutUint32(o[i:], toNegabinary(w-prev))
 		prev = w
 	}
-	return joinWords(words, tail), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 func (diffNB) Inverse(src []byte) ([]byte, error) {
@@ -100,20 +108,29 @@ func (diffNB) Inverse(src []byte) ([]byte, error) {
 
 // xorDelta replaces each word with its XOR against the previous word:
 // identical prefixes become leading zeros without carry propagation.
-type xorDelta struct{}
+type xorDelta struct{ sameSize }
 
 func (xorDelta) Name() string { return "XOR" }
 
-func (xorDelta) ForwardSize(src []byte) (int, error) { return len(src), nil }
+func (c xorDelta) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
 
-func (xorDelta) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
+func (xorDelta) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
 	prev := uint32(0)
-	for i, w := range words {
-		words[i] = w ^ prev
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		binary.LittleEndian.PutUint32(o[i:], w^prev)
 		prev = w
 	}
-	return joinWords(words, tail), nil
+	copyTail(o, src)
+	return out, nil
+}
+
+// copyTail copies src's ragged tail (the bytes past its last whole word)
+// to the same offset of out, which is as long as src.
+func copyTail(out, src []byte) {
+	n := len(src) &^ 3
+	copy(out[n:], src[n:])
 }
 
 func (xorDelta) Inverse(src []byte) ([]byte, error) {

@@ -16,39 +16,49 @@ type bitT struct{}
 
 func (bitT) Name() string { return "BIT" }
 
-func (bitT) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
+func (c bitT) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
+
+func (bitT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	n := len(src) / 4
+	dst = bitio.PutUvarint(dst, uint64(n))
+	dst = bitio.PutUvarint(dst, uint64(len(src)-4*n))
+	if n == 0 {
+		return append(dst, src...), nil
+	}
 	planeBytes := (n + 7) / 8
-	planes := make([]byte, 32*planeBytes)
+	out, planes := extend(dst, 32*planeBytes)
 	for plane := 31; plane >= 0; plane-- {
-		row := planes[(31-plane)*planeBytes:]
-		sh := uint(plane)
+		row := planes[(31-plane)*planeBytes : (32-plane)*planeBytes]
+		// Bit plane of a little-endian word: bit plane%8 of byte plane/8.
+		lane, sh := src[plane/8:], uint(plane%8)
 		i := 0
 		for ; i+8 <= n; i += 8 {
-			b := byte(words[i]>>sh&1)<<7 |
-				byte(words[i+1]>>sh&1)<<6 |
-				byte(words[i+2]>>sh&1)<<5 |
-				byte(words[i+3]>>sh&1)<<4 |
-				byte(words[i+4]>>sh&1)<<3 |
-				byte(words[i+5]>>sh&1)<<2 |
-				byte(words[i+6]>>sh&1)<<1 |
-				byte(words[i+7]>>sh&1)
-			row[i/8] = b
+			w := lane[4*i : 4*i+29]
+			row[i/8] = w[0]>>sh&1<<7 |
+				w[4]>>sh&1<<6 |
+				w[8]>>sh&1<<5 |
+				w[12]>>sh&1<<4 |
+				w[16]>>sh&1<<3 |
+				w[20]>>sh&1<<2 |
+				w[24]>>sh&1<<1 |
+				w[28]>>sh&1
 		}
-		for ; i < n; i++ {
-			row[i/8] |= byte(words[i]>>sh&1) << (7 - uint(i)%8)
+		if i < n {
+			var b byte
+			for ; i < n; i++ {
+				b |= lane[4*i] >> sh & 1 << (7 - uint(i)%8)
+			}
+			row[len(row)-1] = b
 		}
 	}
-	out = append(out, planes...)
-	return append(out, tail...), nil
+	return append(out, src[4*n:]...), nil
 }
 
 // ForwardSize is the two uvarint header fields, 32 bit planes of
 // ceil(n/8) bytes each, and the ragged tail.
-func (bitT) ForwardSize(src []byte) (int, error) {
+func (c bitT) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
+
+func (bitT) forwardSize(src []byte, _ *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
 	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 32*((n+7)/8) + tail, nil
 }
@@ -88,22 +98,28 @@ type byteT struct{}
 
 func (byteT) Name() string { return "BYTE" }
 
-func (byteT) Forward(src []byte) ([]byte, error) {
+func (c byteT) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
+
+func (byteT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	n := len(src) / 4
-	tail := src[4*n:]
-	out := bitio.PutUvarint(nil, uint64(n))
-	out = bitio.PutUvarint(out, uint64(len(tail)))
+	dst = bitio.PutUvarint(dst, uint64(n))
+	dst = bitio.PutUvarint(dst, uint64(len(src)-4*n))
+	out, o := extend(dst, len(src))
 	for plane := 0; plane < 4; plane++ {
-		for i := 0; i < n; i++ {
-			out = append(out, src[4*i+plane])
+		row := o[plane*n : (plane+1)*n]
+		for i := range row {
+			row[i] = src[4*i+plane]
 		}
 	}
-	return append(out, tail...), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 // ForwardSize is the two uvarint header fields, four byte planes of n
 // bytes each, and the ragged tail.
-func (byteT) ForwardSize(src []byte) (int, error) {
+func (c byteT) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
+
+func (byteT) forwardSize(src []byte, _ *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
 	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 4*n + tail, nil
 }

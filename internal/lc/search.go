@@ -3,6 +3,8 @@ package lc
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"positbench/internal/par"
@@ -28,34 +30,39 @@ const headerBytes = 1 + PipelineDepth
 // data, in parallel, and returns results sorted best (largest ratio) first.
 // Ties break lexicographically on the pipeline string so output is
 // deterministic. Stage 1 and stage 2 outputs are built once and shared;
-// the terminal stage is only sized (Component.ForwardSize), never built.
+// the terminal stage is only sized, never built. NUL is the identity, so
+// (NUL, X, Y) produces exactly the bytes of (X, NUL, Y): those sizes are
+// copied, not recomputed. Each stage-1 iteration borrows one pooled
+// scratch for every buffer it needs, so a warm search allocates only its
+// result slices.
 func SearchAll(data []byte) ([]Result, error) {
-	lib := Components()
+	lib := library
 	nl := len(lib)
-	results := make([]Result, nl*nl*nl)
+	// keys[(i*nl+j)*nl+k] packs pipeline (i, j, k)'s size above its rank,
+	// so sorting the keys sorts by size, then by pipeline string.
+	keys := make([]uint64, nl*nl*nl)
 	err := par.For(nl, 0, func(i int) error {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
 		s1 := lib[i]
-		t1, err := s1.Forward(data)
-		if err != nil {
+		var err error
+		if sc.t1, err = s1.appendForward(sc.t1[:0], data, sc); err != nil {
 			return fmt.Errorf("%s: %w", s1.Name(), err)
 		}
-		block := results[i*nl*nl : (i+1)*nl*nl]
 		for j, s2 := range lib {
-			t2, err := s2.Forward(t1)
-			if err != nil {
+			if i == nulID && j != nulID {
+				continue // (NUL, X, ·) is filled from (X, NUL, ·) below
+			}
+			if sc.t2, err = s2.appendForward(sc.t2[:0], sc.t1, sc); err != nil {
 				return fmt.Errorf("%s|%s: %w", s1.Name(), s2.Name(), err)
 			}
 			for k, s3 := range lib {
-				n3, err := s3.ForwardSize(t2)
+				n3, err := s3.forwardSize(sc.t2, sc)
 				if err != nil {
 					return fmt.Errorf("%s|%s|%s: %w", s1.Name(), s2.Name(), s3.Name(), err)
 				}
-				size := n3 + headerBytes
-				block[j*nl+k] = Result{
-					Names: [PipelineDepth]string{s1.Name(), s2.Name(), s3.Name()},
-					Size:  size,
-					Ratio: float64(len(data)) / float64(size),
-				}
+				idx := (i*nl+j)*nl + k
+				keys[idx] = uint64(n3+headerBytes)<<rankBits | uint64(pipelineRank[idx])
 			}
 		}
 		return nil
@@ -63,37 +70,77 @@ func SearchAll(data []byte) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sortResults(results)
+	for j := range lib {
+		if j == nulID {
+			continue
+		}
+		for k := range lib {
+			idx, twin := (nulID*nl+j)*nl+k, (j*nl+nulID)*nl+k
+			keys[idx] = keys[twin]>>rankBits<<rankBits | uint64(pipelineRank[idx])
+		}
+	}
+	slices.Sort(keys)
+	results := make([]Result, len(keys))
+	for p, key := range keys {
+		idx := int(rankOrder[key&(1<<rankBits-1)])
+		size := int(key >> rankBits)
+		results[p] = Result{
+			Names: [PipelineDepth]string{lib[idx/(nl*nl)].Name(), lib[idx/nl%nl].Name(), lib[idx%nl].Name()},
+			Size:  size,
+			Ratio: float64(len(data)) / float64(size),
+		}
+	}
 	return results, nil
 }
 
-// sortResults orders rs by size, then by pipeline string. Each string is
-// built once up front rather than in every comparison; it must stay the
-// "a|b|c" string, not the name tuple, because the two orders differ
-// ("DIFF|..." sorts after "DIFF4|...").
-func sortResults(rs []Result) {
-	keys := make([]string, len(rs))
-	for i, r := range rs {
-		keys[i] = pipeKey(r.Names)
+// library is the component list the search runs over.
+var library = Components()
+
+// pipelineRank[(i*n+j)*n+k] is the position of pipeline (i, j, k) among
+// all pipelines in byte-wise order of their "a|b|c" strings, the search's
+// tie-break; rankOrder is its inverse. rankBits is the width of a rank.
+var (
+	pipelineRank, rankOrder = rankPipelines(library)
+	rankBits                = bits.Len(uint(len(rankOrder) - 1))
+)
+
+// rankPipelines computes the pipeline string order stage by stage. No
+// name contains '|', and '|' sorts after every letter and digit, so two
+// strings that differ first in stage 1 or 2 compare like that stage's
+// name followed by '|' ("DIFF4|..." < "DIFF|..."), and two that differ
+// only in stage 3 compare like the bare names ("...|DIFF" < "...|DIFF4").
+func rankPipelines(lib []Component) (rank, order []uint32) {
+	n := len(lib)
+	inner, last := stageOrder(lib, "|"), stageOrder(lib, "")
+	rank = make([]uint32, n*n*n)
+	order = make([]uint32, n*n*n)
+	for i := range lib {
+		for j := range lib {
+			for k := range lib {
+				idx := (i*n+j)*n + k
+				r := (inner[i]*n+inner[j])*n + last[k]
+				rank[idx], order[r] = uint32(r), uint32(idx)
+			}
+		}
 	}
-	sort.Sort(byPipeline{rs, keys})
+	return rank, order
 }
 
-type byPipeline struct {
-	rs   []Result
-	keys []string
-}
-
-func (b byPipeline) Len() int { return len(b.rs) }
-func (b byPipeline) Less(i, j int) bool {
-	if b.rs[i].Size != b.rs[j].Size {
-		return b.rs[i].Size < b.rs[j].Size
+// stageOrder returns each component's position when the library's names,
+// each followed by suffix, are sorted byte-wise.
+func stageOrder(lib []Component, suffix string) []int {
+	byName := make([]int, len(lib))
+	for i := range byName {
+		byName[i] = i
 	}
-	return b.keys[i] < b.keys[j]
-}
-func (b byPipeline) Swap(i, j int) {
-	b.rs[i], b.rs[j] = b.rs[j], b.rs[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	sort.Slice(byName, func(a, b int) bool {
+		return lib[byName[a]].Name()+suffix < lib[byName[b]].Name()+suffix
+	})
+	pos := make([]int, len(lib))
+	for p, i := range byName {
+		pos[i] = p
+	}
+	return pos
 }
 
 func pipeKey(names [PipelineDepth]string) string {

@@ -65,21 +65,105 @@ func sizeOracleInputs() map[string][]byte {
 	}
 }
 
-// TestForwardSizeMatchesForward is the exactness property the search relies
-// on, over the sdrbench generators in both encodings (plus a ragged copy)
-// and the edge-case inputs, each also through every stage-1 transform.
-func TestForwardSizeMatchesForward(t *testing.T) {
+// propertyInputs returns the inputs of the stage properties: the sdrbench
+// generators in both encodings plus a ragged copy, and the edge cases.
+func propertyInputs() map[string][]byte {
 	const values = 1024
+	inputs := sizeOracleInputs()
 	for _, spec := range sdrbench.Inputs() {
 		floats := spec.Generate(values)
 		fb := posit.EncodeFloat32LE(floats)
-		pb := posit.EncodeWordsLE(posit.Posit32e3.FromFloat32Slice(nil, floats))
-		checkForwardSizeDeep(t, fb, spec.Name+"/ieee")
-		checkForwardSizeDeep(t, pb, spec.Name+"/posit")
-		checkForwardSizeDeep(t, fb[:len(fb)-1], spec.Name+"/ieee-ragged")
+		inputs[spec.Name+"/ieee"] = fb
+		inputs[spec.Name+"/posit"] = posit.EncodeWordsLE(posit.Posit32e3.FromFloat32Slice(nil, floats))
+		inputs[spec.Name+"/ieee-ragged"] = fb[:len(fb)-1]
 	}
-	for name, src := range sizeOracleInputs() {
+	return inputs
+}
+
+// TestForwardSizeMatchesForward is the exactness property the search relies
+// on, over the property inputs, each also through every stage-1 transform.
+func TestForwardSizeMatchesForward(t *testing.T) {
+	for name, src := range propertyInputs() {
 		checkForwardSizeDeep(t, src, name)
+	}
+}
+
+// soil overwrites every byte sc's buffers can hold with garbage, so a
+// stage that reads memory it did not write this call shows.
+func soil(sc *scratch) {
+	for _, b := range append([][]byte{sc.t1, sc.t2, sc.flags, sc.leads}, sc.levels...) {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
+}
+
+// checkAppendForward requires appendForward into a buffer with a prefix
+// and garbage in its spare capacity to return prefix + Forward(src), and
+// forwardSize on a scratch soiled by earlier calls to match a fresh
+// ForwardSize.
+func checkAppendForward(t *testing.T, c Component, src []byte, sc *scratch, label string) {
+	t.Helper()
+	want, err := c.Forward(src)
+	if err != nil {
+		t.Fatalf("%s: %s.Forward: %v", label, c.Name(), err)
+	}
+	prefix := []byte("prefix")
+	dst := make([]byte, len(prefix)+len(want)+64)
+	for i := range dst {
+		dst[i] = 0xa5
+	}
+	dst = append(dst[:0], prefix...)
+	soil(sc)
+	got, err := c.appendForward(dst, src, sc)
+	if err != nil {
+		t.Fatalf("%s: %s.appendForward: %v", label, c.Name(), err)
+	}
+	if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
+		t.Fatalf("%s: %s.appendForward into a dirty buffer differs from prefix + Forward (%d vs %d+%d bytes)",
+			label, c.Name(), len(got), len(prefix), len(want))
+	}
+	wantSize, err := c.ForwardSize(src)
+	if err != nil {
+		t.Fatalf("%s: %s.ForwardSize: %v", label, c.Name(), err)
+	}
+	soil(sc)
+	size, err := c.forwardSize(src, sc)
+	if err != nil {
+		t.Fatalf("%s: %s.forwardSize: %v", label, c.Name(), err)
+	}
+	if size != wantSize {
+		t.Fatalf("%s: %s.forwardSize on a reused scratch = %d, fresh ForwardSize = %d", label, c.Name(), size, wantSize)
+	}
+}
+
+// checkAppendForwardDeep runs checkAppendForward for every component on
+// src and on each stage-1 output of src, all through one scratch, so each
+// call inherits the buffers of a different component and input.
+func checkAppendForwardDeep(t *testing.T, src []byte, sc *scratch, label string) {
+	t.Helper()
+	lib := Components()
+	for _, c := range lib {
+		checkAppendForward(t, c, src, sc, label)
+	}
+	for _, s1 := range lib {
+		t1, err := s1.Forward(src)
+		if err != nil {
+			t.Fatalf("%s: %s.Forward: %v", label, s1.Name(), err)
+		}
+		for _, c := range lib {
+			checkAppendForward(t, c, t1, sc, label+"/"+s1.Name())
+		}
+	}
+}
+
+// TestAppendForwardDirtyBuffers is the reuse property the search's pooled
+// scratch relies on, over the property inputs.
+func TestAppendForwardDirtyBuffers(t *testing.T) {
+	var sc scratch
+	for name, src := range propertyInputs() {
+		checkAppendForwardDeep(t, src, &sc, name)
 	}
 }
 
@@ -110,17 +194,21 @@ func TestSearchSizesMatchPipelines(t *testing.T) {
 	}
 }
 
-// FuzzForwardSize asserts ForwardSize == len(Forward) for every component
-// on the fuzzed input and on each of its stage-1 outputs.
+// FuzzForwardSize asserts ForwardSize == len(Forward), and the dirty-buffer
+// properties of appendForward and forwardSize, for every component on the
+// fuzzed input and on each of its stage-1 outputs.
 func FuzzForwardSize(f *testing.F) {
-	// Short seeds keep each execution (210 Forward/ForwardSize pairs) fast
-	// under coverage instrumentation.
+	// Short seeds keep each execution (210 component-input pairs, each run
+	// through both checks) fast under coverage instrumentation.
 	for _, src := range sizeOracleInputs() {
 		f.Add(src[:min(len(src), 256)])
 	}
 	f.Add(floatField(64))
 	f.Add(positLike(64))
+	var sc scratch // shared across executions: each inherits the last's buffers
 	f.Fuzz(func(t *testing.T, src []byte) {
-		checkForwardSizeDeep(t, src, fmt.Sprintf("fuzz(%d bytes)", len(src)))
+		label := fmt.Sprintf("fuzz(%d bytes)", len(src))
+		checkForwardSizeDeep(t, src, label)
+		checkAppendForwardDeep(t, src, &sc, label)
 	})
 }

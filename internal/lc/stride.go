@@ -1,5 +1,7 @@
 package lc
 
+import "encoding/binary"
+
 // Stride-aware predictor components. Scientific arrays are often
 // interleaved records or multidimensional grids, where the best predictor
 // for a word is not its immediate neighbor but the word one record (or one
@@ -11,26 +13,27 @@ package lc
 // diffStride emits per-lane two's-complement deltas with a fixed word
 // stride: word i is predicted by word i-stride.
 type diffStride struct {
+	sameSize
 	name   string
 	stride int
 }
 
 func (d diffStride) Name() string { return d.name }
 
-func (diffStride) ForwardSize(src []byte) (int, error) { return len(src), nil }
+func (d diffStride) Forward(src []byte) ([]byte, error) { return d.appendForward(nil, src, nil) }
 
-func (d diffStride) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		if i >= d.stride {
-			out[i] = words[i] - words[i-d.stride]
-		} else {
-			out[i] = words[i]
+func (d diffStride) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
+	lag := 4 * d.stride
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		if i >= lag {
+			w -= binary.LittleEndian.Uint32(src[i-lag:])
 		}
+		binary.LittleEndian.PutUint32(o[i:], w)
 	}
-	return joinWords(out, tail), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 func (d diffStride) Inverse(src []byte) ([]byte, error) {
@@ -45,26 +48,27 @@ func (d diffStride) Inverse(src []byte) ([]byte, error) {
 // xorStride is the carry-free variant: per-lane XOR against the word one
 // stride back.
 type xorStride struct {
+	sameSize
 	name   string
 	stride int
 }
 
 func (x xorStride) Name() string { return x.name }
 
-func (xorStride) ForwardSize(src []byte) (int, error) { return len(src), nil }
+func (x xorStride) Forward(src []byte) ([]byte, error) { return x.appendForward(nil, src, nil) }
 
-func (x xorStride) Forward(src []byte) ([]byte, error) {
-	words, tail := splitWords(src)
-	n := len(words)
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		if i >= x.stride {
-			out[i] = words[i] ^ words[i-x.stride]
-		} else {
-			out[i] = words[i]
+func (x xorStride) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
+	out, o := extend(dst, len(src))
+	lag := 4 * x.stride
+	for i := 0; i+4 <= len(src); i += 4 {
+		w := binary.LittleEndian.Uint32(src[i:])
+		if i >= lag {
+			w ^= binary.LittleEndian.Uint32(src[i-lag:])
 		}
+		binary.LittleEndian.PutUint32(o[i:], w)
 	}
-	return joinWords(out, tail), nil
+	copyTail(o, src)
+	return out, nil
 }
 
 func (x xorStride) Inverse(src []byte) ([]byte, error) {

@@ -3,7 +3,11 @@
 // before the BWT) and the RUNA/RUNB zero-run coding applied after MTF.
 package mtf
 
-import "positbench/internal/compress"
+import (
+	"slices"
+
+	"positbench/internal/compress"
+)
 
 // Encode applies the move-to-front transform in place semantics: the result
 // has the same length as src. Small output values indicate recently used
@@ -45,8 +49,11 @@ func Decode(src []byte) []byte {
 // RLE1 applies bzip2's first run-length stage: any run of 4..259 identical
 // bytes becomes the 4 bytes followed by a count byte (run-4). This bounds
 // the damage pathological runs do to the rotation sort.
-func RLE1(src []byte) []byte {
-	out := make([]byte, 0, len(src)+len(src)/4+16)
+func RLE1(src []byte) []byte { return AppendRLE1(nil, src) }
+
+// AppendRLE1 appends RLE1(src) to dst and returns the extended slice.
+func AppendRLE1(dst, src []byte) []byte {
+	out := slices.Grow(dst, len(src)+len(src)/4+16)
 	i := 0
 	for i < len(src) {
 		b := src[i]

@@ -334,17 +334,6 @@ type topCoder struct {
 
 func (t topCoder) Name() string { return t.name }
 
-// prevMask is ANDed with the previous word before it is XORed into the
-// current one, so a word's lead-bit count is that of w ^ (prev & prevMask):
-// all ones compares with the previous word (RARE), zero with nothing
-// (RAZE).
-func (t topCoder) prevMask() uint32 {
-	if t.zero {
-		return 0
-	}
-	return ^uint32(0)
-}
-
 // plan fills sc.leads with the lead-bit count of each whole word of src
 // (for RARE the number of leading bits equal to the previous word's, for
 // RAZE the number of leading zero bits) and returns them with the k in
@@ -355,7 +344,12 @@ func (t topCoder) plan(src []byte, sc *scratch) ([]uint8, int) {
 	leads := resize(sc.leads, n)
 	sc.leads = leads
 	var hist [33]int
-	mask, prev := t.prevMask(), uint32(0)
+	// A word's lead-bit count is that of w ^ (prev & mask): all ones
+	// compares it with the previous word (RARE), zero with nothing (RAZE).
+	mask, prev := ^uint32(0), uint32(0)
+	if t.zero {
+		mask = 0
+	}
 	for i := range leads {
 		w := binary.LittleEndian.Uint32(src[4*i:])
 		l := bits.LeadingZeros32(w ^ prev&mask)

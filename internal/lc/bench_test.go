@@ -13,7 +13,7 @@ func BenchmarkComponentForward(b *testing.B) {
 		b.Run(c.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Forward(src); err != nil {
+				if _, err := forward(c, src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -29,7 +29,7 @@ func BenchmarkComponentForwardSize(b *testing.B) {
 		b.Run(c.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ForwardSize(src); err != nil {
+				if _, err := forwardLen(c, src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -40,7 +40,7 @@ func BenchmarkComponentForwardSize(b *testing.B) {
 func BenchmarkComponentInverse(b *testing.B) {
 	src := floatField(1 << 16)
 	for _, c := range Components() {
-		fwd, err := c.Forward(src)
+		fwd, err := forward(c, src)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -88,38 +88,16 @@ func (sc *scratch) occupancy(b []byte, level int) ([]byte, int) {
 	}
 	sub := resize(sc.levels[level], (len(b)+7)/8)
 	sc.levels[level] = sub
+	clear(sub)
 	nz := 0
-	for i := range sub {
-		// (x&0x7f)+0x7f stays within its byte and has its top bit set
-		// iff the low seven bits are nonzero; OR in x's own top bit.
-		x := load8(b, 8*i)
-		m := msbs((x&^highBits + (highBits - lowBytes)) | x)
-		sub[i] = m
-		nz += bits.OnesCount8(m)
+	for i, v := range b {
+		if v != 0 {
+			sub[i/8] |= 1 << (7 - i%8)
+			nz++
+		}
 	}
 	return sub, nz
 }
-
-const (
-	lowBytes = 0x0101010101010101 // 1 in every byte
-	highBits = 0x8080808080808080 // the top bit of every byte
-)
-
-// load8 returns b[i:i+8] as a big-endian uint64, so b[i] is the top
-// byte, zero-padded past the end of b.
-func load8(b []byte, i int) uint64 {
-	if i+8 <= len(b) {
-		return binary.BigEndian.Uint64(b[i:])
-	}
-	var pad [8]byte
-	copy(pad[:], b[i:])
-	return binary.BigEndian.Uint64(pad[:])
-}
-
-// msbs gathers the top bit of each byte of x into one byte, the top
-// byte's into bit 7: the multiply moves the bit of byte j to bit 56+j
-// without collisions or carries.
-func msbs(x uint64) byte { return byte((x & highBits) * 0x0002040810204081 >> 56) }
 
 // decodeBitmapBody reconstructs n bytes, returning them and the number of
 // encoded bytes consumed.
@@ -165,45 +143,17 @@ type rle struct{}
 
 func (rle) Name() string { return "RLE" }
 
-func (c rle) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-
 func (rle) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	return mtf.AppendRLE1(dst, src), nil
 }
 
-func (c rle) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
-
 // forwardSize scans runs with mtf.RLE1's rule: a run of 4..259 equal bytes
 // becomes 4 copies plus a count byte, a shorter run stays literal.
-// Where no byte of the next eight equals its successor, those eight are
-// runs of one and are counted in one step.
 func (rle) forwardSize(src []byte, _ *scratch) (int, error) {
 	size := 0
 	for i := 0; i < len(src); {
-		if i+9 <= len(src) {
-			// Byte j of d is zero where src[i+j] == src[i+j+1]; the lowest
-			// byte z flags is the first such j.
-			d := binary.LittleEndian.Uint64(src[i:]) ^ binary.LittleEndian.Uint64(src[i+1:])
-			z := (d - lowBytes) &^ d & highBits
-			if z == 0 {
-				size += 8
-				i += 8
-				continue
-			}
-			skip := bits.TrailingZeros64(z) / 8
-			size += skip
-			i += skip
-		}
 		b := src[i]
 		run := 1
-		if i+8 <= len(src) {
-			// The run covers the low bytes of src[i:i+8] that equal b.
-			if x := binary.LittleEndian.Uint64(src[i:]) ^ uint64(b)*lowBytes; x != 0 {
-				run = bits.TrailingZeros64(x) / 8
-			} else {
-				run = 8
-			}
-		}
 		for i+run < len(src) && src[i+run] == b && run < 259 {
 			run++
 		}
@@ -232,8 +182,6 @@ type rze struct{}
 
 func (rze) Name() string { return "RZE" }
 
-func (c rze) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, new(scratch)) }
-
 func (rze) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
 	n := len(src) / 4
 	flags, nz := sc.nonzeroWords(src)
@@ -249,8 +197,6 @@ func (rze) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
 	return append(dst, src[4*n:]...), nil
 }
 
-func (c rze) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, new(scratch)) }
-
 // forwardSize is the two uvarint header fields, the encoded occupancy
 // bitmap, four bytes per nonzero word, and the ragged tail.
 func (rze) forwardSize(src []byte, sc *scratch) (int, error) {
@@ -265,16 +211,13 @@ func (sc *scratch) nonzeroWords(src []byte) ([]byte, int) {
 	n := len(src) / 4
 	flags := resize(sc.flags, (n+7)/8)
 	sc.flags = flags
+	clear(flags)
 	nz := 0
-	for i := range flags {
-		var m byte
-		for p := 32 * i; p < min(32*i+32, 4*n); p += 4 {
-			w := uint64(binary.LittleEndian.Uint32(src[p:]))
-			m = m<<1 | byte((w+0xffffffff)>>32) // 1 iff w != 0
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint32(src[4*i:]) != 0 {
+			flags[i/8] |= 1 << (7 - i%8)
+			nz++
 		}
-		m <<= (8 - min(8, n-8*i)) // the last byte is left-aligned
-		flags[i] = m
-		nz += bits.OnesCount8(m)
 	}
 	return flags, nz
 }
@@ -374,6 +317,27 @@ func (t topCoder) plan(src []byte, sc *scratch) ([]uint8, int) {
 	return leads, bestK
 }
 
+const (
+	lowBytes = 0x0101010101010101 // 1 in every byte
+	highBits = 0x8080808080808080 // the top bit of every byte
+)
+
+// load8 returns b[i:i+8] as a big-endian uint64, so b[i] is the top
+// byte, zero-padded past the end of b.
+func load8(b []byte, i int) uint64 {
+	if i+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[i:])
+	}
+	var pad [8]byte
+	copy(pad[:], b[i:])
+	return binary.BigEndian.Uint64(pad[:])
+}
+
+// msbs gathers the top bit of each byte of x into one byte, the top
+// byte's into bit 7: the multiply moves the bit of byte j to bit 56+j
+// without collisions or carries.
+func msbs(x uint64) byte { return byte((x & highBits) * 0x0002040810204081 >> 56) }
+
 // flagBitmap packs one flag per word (lead count >= k), MSB-first, in
 // sc.flags and counts the unflagged words.
 func (sc *scratch) flagBitmap(leads []uint8, k int) ([]byte, int) {
@@ -390,10 +354,6 @@ func (sc *scratch) flagBitmap(leads []uint8, k int) ([]byte, int) {
 		flagged += bits.OnesCount8(m)
 	}
 	return flags, len(leads) - flagged
-}
-
-func (t topCoder) Forward(src []byte) ([]byte, error) {
-	return t.appendForward(nil, src, new(scratch))
 }
 
 func (t topCoder) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
@@ -421,8 +381,6 @@ func (t topCoder) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
 	dst = append(dst, bottoms.Bytes()...)
 	return append(dst, src[4*n:]...), nil
 }
-
-func (t topCoder) ForwardSize(src []byte) (int, error) { return t.forwardSize(src, new(scratch)) }
 
 // forwardSize counts what appendForward writes without writing a bit: the
 // header (two uvarints and k), the encoded flag bitmap, the tops length
@@ -528,22 +486,9 @@ func (huf) Name() string { return "HUF" }
 // returns the lengths with the size in bits of the coded body: the
 // serialized length table plus sum(freq*len).
 func (huf) plan(src []byte, sc *scratch) ([]uint8, int, error) {
-	// Four interleaved histograms keep runs of one byte value from
-	// serializing on a single counter.
-	var h [4][256]int
-	i := 0
-	for ; i+4 <= len(src); i += 4 {
-		h[0][src[i]]++
-		h[1][src[i+1]]++
-		h[2][src[i+2]]++
-		h[3][src[i+3]]++
-	}
-	for ; i < len(src); i++ {
-		h[0][src[i]]++
-	}
 	var freqs [256]int
-	for b := range freqs {
-		freqs[b] = h[0][b] + h[1][b] + h[2][b] + h[3][b]
+	for _, b := range src {
+		freqs[b]++
 	}
 	lengths, err := sc.lengths.Lengths(freqs[:], huffman.MaxBits)
 	if err != nil {
@@ -558,8 +503,6 @@ func (huf) plan(src []byte, sc *scratch) ([]uint8, int, error) {
 	}
 	return lengths, nbits, nil
 }
-
-func (c huf) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, new(scratch)) }
 
 // appendForward writes the mode byte and length uvarint, then either the
 // length table and code stream (mode 1) or, when the coded body would be
@@ -587,8 +530,6 @@ func (c huf) appendForward(dst, src []byte, sc *scratch) ([]byte, error) {
 	dst = bitio.PutUvarint(append(dst, 1), uint64(len(src)))
 	return append(dst, w.Bytes()...), nil
 }
-
-func (c huf) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, new(scratch)) }
 
 // forwardSize prices the code from the histogram alone: the mode byte and
 // length uvarint, then the coded body's whole bytes or the stored copy

@@ -24,21 +24,16 @@ import (
 type Component interface {
 	// Name is the stage identifier used in pipeline strings ("DIFFMS").
 	Name() string
-	// Forward transforms src; the result may have any length.
-	Forward(src []byte) ([]byte, error)
-	// ForwardSize returns len(Forward(src)) exactly, without building the
-	// output.
-	ForwardSize(src []byte) (int, error)
-	// Inverse exactly undoes Forward.
+	// Inverse exactly undoes the forward transform.
 	Inverse(src []byte) ([]byte, error)
 
-	// appendForward appends Forward(src) to dst, borrowing working memory
-	// from sc, which may be nil for stages that need none. It is the one
-	// forward implementation: Forward calls it with a nil dst.
+	// appendForward appends the forward transform of src, which may have
+	// any length, to dst, borrowing working memory from sc (nil for
+	// stages that need none).
 	appendForward(dst, src []byte, sc *scratch) ([]byte, error)
-	// forwardSize is ForwardSize with working memory borrowed from sc. The
-	// search calls it for the terminal stage, whose bytes would only be
-	// counted.
+	// forwardSize returns the length appendForward would append, exactly,
+	// without building the output. The search calls it for the terminal
+	// stage, whose bytes would only be counted.
 	forwardSize(src []byte, sc *scratch) (int, error)
 }
 
@@ -132,20 +127,18 @@ func resize(buf []byte, n int) []byte { return slices.Grow(buf[:0], n)[:n] }
 // uvarintLen is the encoded length of v as written by bitio.PutUvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// sameSize supplies the size methods of the stages whose output is exactly
+// sameSize supplies the size method of the stages whose output is exactly
 // as long as their input.
 type sameSize struct{}
 
-func (sameSize) ForwardSize(src []byte) (int, error)             { return len(src), nil }
 func (sameSize) forwardSize(src []byte, _ *scratch) (int, error) { return len(src), nil }
 
 // nul is the identity stage; its presence in the library means the 3-stage
 // search space contains every 1- and 2-stage pipeline as well.
 type nul struct{ sameSize }
 
-func (nul) Name() string                         { return "NUL" }
-func (c nul) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-func (nul) Inverse(src []byte) ([]byte, error)   { return append([]byte(nil), src...), nil }
+func (nul) Name() string                       { return "NUL" }
+func (nul) Inverse(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
 
 func (nul) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	return append(dst, src...), nil

@@ -11,8 +11,6 @@ type diff struct{ sameSize }
 
 func (diff) Name() string { return "DIFF" }
 
-func (c diff) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-
 func (diff) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))
 	prev := uint32(0)
@@ -44,8 +42,6 @@ func (diffMS) Name() string { return "DIFFMS" }
 
 func zigzag(d uint32) uint32   { return d<<1 ^ uint32(int32(d)>>31) }
 func unzigzag(z uint32) uint32 { return z>>1 ^ -(z & 1) }
-
-func (c diffMS) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
 
 func (diffMS) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))
@@ -82,8 +78,6 @@ const nbMask = 0xAAAAAAAA
 func toNegabinary(x uint32) uint32   { return (x + nbMask) ^ nbMask }
 func fromNegabinary(n uint32) uint32 { return (n ^ nbMask) - nbMask }
 
-func (c diffNB) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-
 func (diffNB) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))
 	prev := uint32(0)
@@ -111,8 +105,6 @@ func (diffNB) Inverse(src []byte) ([]byte, error) {
 type xorDelta struct{ sameSize }
 
 func (xorDelta) Name() string { return "XOR" }
-
-func (c xorDelta) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
 
 func (xorDelta) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))

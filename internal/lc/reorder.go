@@ -16,8 +16,6 @@ type bitT struct{}
 
 func (bitT) Name() string { return "BIT" }
 
-func (c bitT) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-
 func (bitT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	n := len(src) / 4
 	dst = bitio.PutUvarint(dst, uint64(n))
@@ -54,10 +52,8 @@ func (bitT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	return append(out, src[4*n:]...), nil
 }
 
-// ForwardSize is the two uvarint header fields, 32 bit planes of
+// forwardSize is the two uvarint header fields, 32 bit planes of
 // ceil(n/8) bytes each, and the ragged tail.
-func (c bitT) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
-
 func (bitT) forwardSize(src []byte, _ *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
 	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 32*((n+7)/8) + tail, nil
@@ -98,8 +94,6 @@ type byteT struct{}
 
 func (byteT) Name() string { return "BYTE" }
 
-func (c byteT) Forward(src []byte) ([]byte, error) { return c.appendForward(nil, src, nil) }
-
 func (byteT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	n := len(src) / 4
 	dst = bitio.PutUvarint(dst, uint64(n))
@@ -115,10 +109,8 @@ func (byteT) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	return out, nil
 }
 
-// ForwardSize is the two uvarint header fields, four byte planes of n
+// forwardSize is the two uvarint header fields, four byte planes of n
 // bytes each, and the ragged tail.
-func (c byteT) ForwardSize(src []byte) (int, error) { return c.forwardSize(src, nil) }
-
 func (byteT) forwardSize(src []byte, _ *scratch) (int, error) {
 	n, tail := len(src)/4, len(src)%4
 	return uvarintLen(uint64(n)) + uvarintLen(uint64(tail)) + 4*n + tail, nil

@@ -9,19 +9,19 @@ import (
 	"positbench/internal/sdrbench"
 )
 
-// checkForwardSize requires c.ForwardSize(src) == len(c.Forward(src)).
+// checkForwardSize requires forwardLen(c, src) == len(forward(c, src)).
 func checkForwardSize(t *testing.T, c Component, src []byte, label string) {
 	t.Helper()
-	fwd, err := c.Forward(src)
+	fwd, err := forward(c, src)
 	if err != nil {
-		t.Fatalf("%s: %s.Forward: %v", label, c.Name(), err)
+		t.Fatalf("%s: %s forward: %v", label, c.Name(), err)
 	}
-	size, err := c.ForwardSize(src)
+	size, err := forwardLen(c, src)
 	if err != nil {
-		t.Fatalf("%s: %s.ForwardSize: %v", label, c.Name(), err)
+		t.Fatalf("%s: %s size: %v", label, c.Name(), err)
 	}
 	if size != len(fwd) {
-		t.Fatalf("%s: %s.ForwardSize = %d, len(Forward) = %d (input %d bytes)", label, c.Name(), size, len(fwd), len(src))
+		t.Fatalf("%s: %s size = %d, forward output = %d bytes (input %d bytes)", label, c.Name(), size, len(fwd), len(src))
 	}
 }
 
@@ -35,9 +35,9 @@ func checkForwardSizeDeep(t *testing.T, src []byte, label string) {
 		checkForwardSize(t, c, src, label)
 	}
 	for _, s1 := range lib {
-		t1, err := s1.Forward(src)
+		t1, err := forward(s1, src)
 		if err != nil {
-			t.Fatalf("%s: %s.Forward: %v", label, s1.Name(), err)
+			t.Fatalf("%s: %s forward: %v", label, s1.Name(), err)
 		}
 		for _, c := range lib {
 			checkForwardSize(t, c, t1, label+"/"+s1.Name())
@@ -100,14 +100,14 @@ func soil(sc *scratch) {
 }
 
 // checkAppendForward requires appendForward into a buffer with a prefix
-// and garbage in its spare capacity to return prefix + Forward(src), and
-// forwardSize on a scratch soiled by earlier calls to match a fresh
-// ForwardSize.
+// and garbage in its spare capacity to return prefix + forward(c, src),
+// and forwardSize on a scratch soiled by earlier calls to match a fresh
+// forwardLen.
 func checkAppendForward(t *testing.T, c Component, src []byte, sc *scratch, label string) {
 	t.Helper()
-	want, err := c.Forward(src)
+	want, err := forward(c, src)
 	if err != nil {
-		t.Fatalf("%s: %s.Forward: %v", label, c.Name(), err)
+		t.Fatalf("%s: %s forward: %v", label, c.Name(), err)
 	}
 	prefix := []byte("prefix")
 	dst := make([]byte, len(prefix)+len(want)+64)
@@ -121,12 +121,12 @@ func checkAppendForward(t *testing.T, c Component, src []byte, sc *scratch, labe
 		t.Fatalf("%s: %s.appendForward: %v", label, c.Name(), err)
 	}
 	if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
-		t.Fatalf("%s: %s.appendForward into a dirty buffer differs from prefix + Forward (%d vs %d+%d bytes)",
+		t.Fatalf("%s: %s.appendForward into a dirty buffer differs from prefix + fresh forward (%d vs %d+%d bytes)",
 			label, c.Name(), len(got), len(prefix), len(want))
 	}
-	wantSize, err := c.ForwardSize(src)
+	wantSize, err := forwardLen(c, src)
 	if err != nil {
-		t.Fatalf("%s: %s.ForwardSize: %v", label, c.Name(), err)
+		t.Fatalf("%s: %s size: %v", label, c.Name(), err)
 	}
 	soil(sc)
 	size, err := c.forwardSize(src, sc)
@@ -134,7 +134,7 @@ func checkAppendForward(t *testing.T, c Component, src []byte, sc *scratch, labe
 		t.Fatalf("%s: %s.forwardSize: %v", label, c.Name(), err)
 	}
 	if size != wantSize {
-		t.Fatalf("%s: %s.forwardSize on a reused scratch = %d, fresh ForwardSize = %d", label, c.Name(), size, wantSize)
+		t.Fatalf("%s: %s.forwardSize on a reused scratch = %d, fresh = %d", label, c.Name(), size, wantSize)
 	}
 }
 
@@ -148,9 +148,9 @@ func checkAppendForwardDeep(t *testing.T, src []byte, sc *scratch, label string)
 		checkAppendForward(t, c, src, sc, label)
 	}
 	for _, s1 := range lib {
-		t1, err := s1.Forward(src)
+		t1, err := forward(s1, src)
 		if err != nil {
-			t.Fatalf("%s: %s.Forward: %v", label, s1.Name(), err)
+			t.Fatalf("%s: %s forward: %v", label, s1.Name(), err)
 		}
 		for _, c := range lib {
 			checkAppendForward(t, c, t1, sc, label+"/"+s1.Name())
@@ -194,7 +194,7 @@ func TestSearchSizesMatchPipelines(t *testing.T) {
 	}
 }
 
-// FuzzForwardSize asserts ForwardSize == len(Forward), and the dirty-buffer
+// FuzzForwardSize asserts forwardLen == len(forward), and the dirty-buffer
 // properties of appendForward and forwardSize, for every component on the
 // fuzzed input and on each of its stage-1 outputs.
 func FuzzForwardSize(f *testing.F) {

@@ -20,8 +20,6 @@ type diffStride struct {
 
 func (d diffStride) Name() string { return d.name }
 
-func (d diffStride) Forward(src []byte) ([]byte, error) { return d.appendForward(nil, src, nil) }
-
 func (d diffStride) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))
 	lag := 4 * d.stride
@@ -54,8 +52,6 @@ type xorStride struct {
 }
 
 func (x xorStride) Name() string { return x.name }
-
-func (x xorStride) Forward(src []byte) ([]byte, error) { return x.appendForward(nil, src, nil) }
 
 func (x xorStride) appendForward(dst, src []byte, _ *scratch) ([]byte, error) {
 	out, o := extend(dst, len(src))
